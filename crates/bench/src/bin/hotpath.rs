@@ -1,30 +1,26 @@
-//! Cache-conscious hot-path benchmark: table layouts × wave schedules ×
-//! split kernels.
+//! Cache-conscious hot-path benchmark: table layouts × execution modes
+//! × DP drivers.
 //!
 //! Times the κ0 join optimizer across the four workload topologies with
 //! every combination the hot-path work introduced:
 //!
-//! * **serial** driver × {AoS, SoA, hot/cold} layouts (scalar kernel);
-//! * **serial** driver × hot/cold layout × {batched, SIMD} split kernels
-//!   — the kernel dimension on the layout the kernels gather from;
+//! * **serial** driver × {AoS, SoA, hot/cold} layouts;
 //! * **parallel** rank-wave mode × {AoS, SoA, hot/cold} layouts with
-//!   the contiguous **chunked** wave schedule, plus hot/cold × {batched,
-//!   SIMD} kernels on that schedule;
-//! * the **convolution DP driver** (serial and parallel, on the best
-//!   layout/kernel combination) against the subset-split driver, plus a
-//!   `floor0` ablation that disables the per-wave scalar/batched kernel
-//!   selection (`scalar_wave_floor = 0`) to price that heuristic;
-//! * the pre-chunking **AoS × round-robin × scalar** parallel
-//!   configuration, kept as the ablation baseline every other
-//!   configuration's speedup is reported against.
+//!   the contiguous **chunked** wave schedule — AoS is the baseline
+//!   every other configuration's speedup is reported against;
+//! * the **convolution DP driver** (serial and parallel, on the hot/cold
+//!   layout) against the subset-split driver.
+//!
+//! Every configuration runs the paper's scalar split cascade (the
+//! `scalar` in its label); it is the only split kernel.
 //!
 //! After the κ0 matrix, a **per-model convolution section** times the
-//! conv driver against the subset-split driver (serial, hot/cold ×
-//! SIMD) for every shipped cost model — κ0 rides conv natively, the
-//! three κ″ models through the canonical-orientation path — at the
-//! largest `n` of the sweep. Each pair is verified cost- and
-//! cardinality-bit-identical before timing; the artifact gains a
-//! `model_groups` array carrying the per-model speedups.
+//! conv driver against the subset-split driver (serial, hot/cold) for
+//! every shipped cost model — κ0 rides conv natively, the three κ″
+//! models through the canonical-orientation path — at the largest `n`
+//! of the sweep. Each pair is verified cost- and cardinality-bit-
+//! identical before timing; the artifact gains a `model_groups` array
+//! carrying the per-model speedups.
 //!
 //! Before any configuration is timed, its optimizer output is verified
 //! cost-bit-, cardinality-bit-, and plan-identical to the serial
@@ -61,61 +57,43 @@ use blitz_bench::Table;
 use blitz_catalog::{Topology, Workload};
 use blitz_core::{
     optimize_join_into_with, optimize_join_with, AosTable, CostModel, Counters, DiskNestedLoops,
-    DriveOptions, DriverChoice, JoinSpec, Kappa0, KernelChoice, LayoutChoice, Optimized, SmDnl,
-    SortMerge, TableLayout, WaveSchedule,
+    DriveOptions, DriverChoice, JoinSpec, Kappa0, LayoutChoice, Optimized, SmDnl, SortMerge,
+    TableLayout,
 };
 use std::time::Duration;
 
-/// One timed configuration of the optimizer. `mode` is the execution
-/// mode (serial vs rank-wave parallel); `driver` is the DP recurrence
-/// driver (subset-split vs layered convolution) — two independent axes.
+/// One timed configuration of the optimizer. `threads` picks the
+/// execution mode (1 = serial, otherwise rank-wave parallel on the
+/// chunked schedule); `driver` is the DP recurrence driver
+/// (subset-split vs layered convolution) — two independent axes.
 #[derive(Copy, Clone)]
 struct Config {
-    mode: &'static str,
     layout: LayoutChoice,
-    /// `None` for serial mode (no waves, no schedule).
-    schedule: Option<WaveSchedule>,
     threads: usize,
-    kernel: KernelChoice,
     driver: DriverChoice,
-    /// `None` keeps the default per-wave scalar/batched selection;
-    /// `Some(f)` pins the floor (0 = batched kernels on every wave).
-    scalar_wave_floor: Option<u8>,
 }
 
 impl Config {
-    fn options(&self) -> DriveOptions {
-        let base = match self.schedule {
-            None => DriveOptions::serial(),
-            Some(s) => DriveOptions::parallel(self.threads).with_schedule(s),
-        };
-        let base =
-            base.with_layout(self.layout).with_kernel(self.kernel).with_driver(self.driver);
-        match self.scalar_wave_floor {
-            None => base,
-            Some(f) => base.with_scalar_wave_floor(f),
+    fn mode(&self) -> &'static str {
+        if self.threads == 1 {
+            "serial"
+        } else {
+            "parallel"
         }
     }
 
+    fn options(&self) -> DriveOptions {
+        DriveOptions::parallel(self.threads).with_layout(self.layout).with_driver(self.driver)
+    }
+
     fn label(&self) -> String {
-        let mut label = match self.schedule {
-            None => {
-                format!("{}/{}/{}", self.mode, self.layout.name(), self.kernel.name())
-            }
-            Some(s) => format!(
-                "{}/{}/{}/{}",
-                self.mode,
-                self.layout.name(),
-                s.name(),
-                self.kernel.name()
-            ),
+        let mut label = match self.threads {
+            1 => format!("serial/{}/scalar", self.layout.name()),
+            _ => format!("parallel/{}/chunked/scalar", self.layout.name()),
         };
         if self.driver != DriverChoice::Split {
             label.push('/');
             label.push_str(self.driver.name());
-        }
-        if let Some(f) = self.scalar_wave_floor {
-            label.push_str(&format!("/floor{f}"));
         }
         label
     }
@@ -254,7 +232,7 @@ fn check_group(committed: &Json, topo: Topology, n: usize, reference: &Reference
 
 /// One row of the per-model convolution section: times the conv driver
 /// against the subset-split driver for `model` on one workload point
-/// (serial, hot/cold layout, SIMD kernel), after verifying the two
+/// (serial, hot/cold layout), after verifying the two
 /// produce bit-identical cost and cardinality. Pushes a table row and
 /// returns the JSON record.
 fn conv_model_row<M: CostModel + Sync>(
@@ -266,10 +244,8 @@ fn conv_model_row<M: CostModel + Sync>(
     rounds: usize,
     table: &mut Table,
 ) -> Json {
-    let split_opts = DriveOptions::serial()
-        .with_layout(LayoutChoice::HotCold)
-        .with_kernel(KernelChoice::Simd)
-        .with_driver(DriverChoice::Split);
+    let split_opts =
+        DriveOptions::serial().with_layout(LayoutChoice::HotCold).with_driver(DriverChoice::Split);
     let conv_opts = split_opts.with_driver(DriverChoice::Conv);
     assert!(
         model.conv_support().allows_conv(),
@@ -321,7 +297,6 @@ fn conv_model_row<M: CostModel + Sync>(
         ("n", Json::Num(n as f64)),
         ("mode", Json::str("serial")),
         ("layout", Json::str(LayoutChoice::HotCold.name())),
-        ("kernel", Json::str(KernelChoice::Simd.name())),
         ("split_ns", Json::Num(split_secs * 1e9)),
         ("conv_ns", Json::Num(conv_secs * 1e9)),
         ("conv_speedup_vs_split", Json::Num(speedup)),
@@ -341,72 +316,24 @@ fn main() {
         std::env::var("BLITZ_HOTPATH_OUT").unwrap_or_else(|_| "BENCH_hotpath.json".to_string());
 
     let configs: Vec<Config> = {
-        let split_serial = Config {
-            mode: "serial",
-            layout: LayoutChoice::Aos,
-            schedule: None,
-            threads: 1,
-            kernel: KernelChoice::Scalar,
-            driver: DriverChoice::Split,
-            scalar_wave_floor: None,
-        };
-        let split_parallel = Config {
-            mode: "parallel",
-            schedule: Some(WaveSchedule::Chunked),
-            threads,
-            ..split_serial
-        };
+        let split_serial =
+            Config { layout: LayoutChoice::Aos, threads: 1, driver: DriverChoice::Split };
+        let split_parallel = Config { threads, ..split_serial };
         let mut v = Vec::new();
-        for layout in LayoutChoice::ALL {
-            v.push(Config { layout, ..split_serial });
+        for base in [split_serial, split_parallel] {
+            for layout in LayoutChoice::ALL {
+                v.push(Config { layout, ..base });
+            }
         }
-        // The kernel dimension on the layout the kernels gather from.
-        for kernel in [KernelChoice::Batched, KernelChoice::Simd] {
-            v.push(Config { layout: LayoutChoice::HotCold, kernel, ..split_serial });
+        // The convolution DP driver on the hot/cold layout, both modes.
+        for base in [split_serial, split_parallel] {
+            v.push(Config { layout: LayoutChoice::HotCold, driver: DriverChoice::Conv, ..base });
         }
-        // The baseline first among the parallel rows, so readers see the
-        // pre-chunking configuration before its replacements.
-        v.push(Config {
-            schedule: Some(WaveSchedule::RoundRobin),
-            ..split_parallel
-        });
-        for layout in LayoutChoice::ALL {
-            v.push(Config { layout, ..split_parallel });
-        }
-        for kernel in [KernelChoice::Batched, KernelChoice::Simd] {
-            v.push(Config { layout: LayoutChoice::HotCold, kernel, ..split_parallel });
-        }
-        // The convolution DP driver on the best layout/kernel combination
-        // of each mode, plus a floor0 ablation that forces batched
-        // kernels on every wave (pricing the per-wave scalar/batched
-        // selection heuristic).
-        let conv_serial = Config {
-            layout: LayoutChoice::HotCold,
-            kernel: KernelChoice::Simd,
-            driver: DriverChoice::Conv,
-            ..split_serial
-        };
-        v.push(conv_serial);
-        v.push(Config {
-            layout: LayoutChoice::HotCold,
-            kernel: KernelChoice::Simd,
-            driver: DriverChoice::Conv,
-            ..split_parallel
-        });
-        v.push(Config { scalar_wave_floor: Some(0), ..conv_serial });
         v
     };
-    let baseline = Config {
-        mode: "parallel",
-        layout: LayoutChoice::Aos,
-        schedule: Some(WaveSchedule::RoundRobin),
-        threads,
-        kernel: KernelChoice::Scalar,
-        driver: DriverChoice::Split,
-        scalar_wave_floor: None,
-    };
+    let baseline = Config { layout: LayoutChoice::Aos, threads, driver: DriverChoice::Split };
 
-    println!("Hot-path layout/schedule benchmark (kappa_0, mean card 100, var 0.5)");
+    println!("Hot-path layout/driver benchmark (kappa_0, mean card 100, var 0.5)");
     println!("machine reports {cores} core(s); parallel configurations use {threads} worker(s)\n");
 
     let committed = if check_mode {
@@ -483,7 +410,7 @@ fn main() {
                 .map(|i| best[i])
                 .expect("baseline config present in the sweep");
 
-            let mut table = Table::new(["config", "time", "ns/subset", "vs aos+rr"]);
+            let mut table = Table::new(["config", "time", "ns/subset", "vs parallel aos"]);
             let mut config_json = Vec::new();
             for (c, &secs) in configs.iter().zip(&best) {
                 let ns_total = secs * 1e9;
@@ -495,25 +422,11 @@ fn main() {
                     format!("{speedup:.2}x"),
                 ]);
                 config_json.push(Json::obj(vec![
-                    ("mode", Json::str(c.mode)),
+                    ("config", Json::str(c.label())),
+                    ("mode", Json::str(c.mode())),
                     ("layout", Json::str(c.layout.name())),
-                    (
-                        "schedule",
-                        match c.schedule {
-                            None => Json::Null,
-                            Some(s) => Json::str(s.name()),
-                        },
-                    ),
                     ("threads", Json::Num(c.threads as f64)),
-                    ("kernel", Json::str(c.kernel.name())),
                     ("driver", Json::str(c.driver.name())),
-                    (
-                        "scalar_wave_floor",
-                        match c.scalar_wave_floor {
-                            None => Json::Null,
-                            Some(f) => Json::Num(f as f64),
-                        },
-                    ),
                     ("ns_total", Json::Num(ns_total)),
                     ("ns_per_subset", Json::Num(ns_total / subsets)),
                     ("speedup_vs_baseline", Json::Num(speedup)),
@@ -550,25 +463,18 @@ fn main() {
     // Per-model convolution section: every shipped cost model rides the
     // conv driver (κ0 natively, the κ″ models through the canonical-
     // orientation path), timed against the subset-split driver on the
-    // same layout/kernel at the largest n of the sweep.
-    println!("-- per-model conv vs split (serial/hotcold/simd, n={max_n})");
+    // same layout at the largest n of the sweep.
+    println!("-- per-model conv vs split (serial/hotcold/scalar, n={max_n})");
     let mut model_groups = Vec::new();
     for topo in Topology::ALL {
         let spec = Workload::new(max_n, topo, 100.0, 0.5).spec();
         let mut table = Table::new(["model", "conv support", "split", "conv", "conv vs split"]);
-        let mut rows = Vec::new();
-        rows.push(conv_model_row(&Kappa0, &spec, topo, max_n, cfg, rounds, &mut table));
-        rows.push(conv_model_row(&SortMerge, &spec, topo, max_n, cfg, rounds, &mut table));
-        rows.push(conv_model_row(
-            &DiskNestedLoops::default(),
-            &spec,
-            topo,
-            max_n,
-            cfg,
-            rounds,
-            &mut table,
-        ));
-        rows.push(conv_model_row(&SmDnl::default(), &spec, topo, max_n, cfg, rounds, &mut table));
+        let rows = vec![
+            conv_model_row(&Kappa0, &spec, topo, max_n, cfg, rounds, &mut table),
+            conv_model_row(&SortMerge, &spec, topo, max_n, cfg, rounds, &mut table),
+            conv_model_row(&DiskNestedLoops::default(), &spec, topo, max_n, cfg, rounds, &mut table),
+            conv_model_row(&SmDnl::default(), &spec, topo, max_n, cfg, rounds, &mut table),
+        ];
         println!("-- {} n={max_n}", topo.name());
         println!("{}", table.render());
         model_groups.push(Json::obj(vec![

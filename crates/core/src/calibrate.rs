@@ -1,30 +1,25 @@
-//! Measured host calibration: turn the compiled performance constants
-//! into numbers measured on *this* machine.
+//! Measured host calibration: turn the compiled `Auto` driver
+//! crossover into a number measured on *this* machine.
 //!
-//! Three of the optimizer's knobs are pure performance policy — they
-//! cannot change a single output bit, only how fast the bits are
-//! produced (every kernel, driver and floor combination is
-//! bit-identical; see [`crate::kernel`] and [`crate::conv`]):
+//! The crossover ([`crate::CONV_AUTO_MIN_RELS`]) is pure performance
+//! policy — the split and conv drivers are cost-bit-identical (see
+//! [`crate::conv`]), so it cannot change an optimal cost, only how fast
+//! it is found — and it may differ per cost model: a κ''-free model
+//! reaches the conv win earlier than one whose κ'' dominates the loop
+//! body.
 //!
-//! * the split kernel ([`KernelChoice`]),
-//! * the `Auto` driver crossover ([`crate::CONV_AUTO_MIN_RELS`]),
-//!   which may differ per cost model — a κ''-free model reaches the
-//!   conv win earlier than one whose κ'' dominates the loop body,
-//! * the scalar wave floor ([`crate::DEFAULT_SCALAR_WAVE_FLOOR`]).
-//!
-//! The compiled defaults were measured once, on one container (see
-//! EXPERIMENTS.md). [`calibrate`] re-measures them here and now: it
-//! times the actual optimizer on synthetic cliques, finds the
-//! per-model driver crossover, the fastest kernel and the best floor,
-//! and returns a [`CalibrationProfile`]. The profile persists as a
-//! small versioned text file (hand-rolled writer/parser in the spirit
-//! of the bench crate's JSON module — no serde dependency) and is
-//! consumed in three places:
+//! The compiled default was measured once, on one container (see
+//! EXPERIMENTS.md). [`calibrate`] re-measures it here and now: it times
+//! the actual optimizer on synthetic cliques, finds the per-model driver
+//! crossover, and returns a [`CalibrationProfile`]. The profile persists
+//! as a small versioned text file (hand-rolled writer/parser in the
+//! spirit of the bench crate's JSON module — no serde dependency) and
+//! is consumed in three places:
 //!
 //! * [`DriveOptions::default`] consults [`host_profile`] — the profile
 //!   named by the [`PROFILE_ENV`] environment variable — so every
-//!   default-configured optimization in the process uses measured
-//!   defaults, with the compiled constants as fallback;
+//!   default-configured optimization in the process uses the measured
+//!   crossover, with the compiled constant as fallback;
 //! * the service loads a profile at startup (`serve --profile`) and
 //!   applies the per-model crossover per request;
 //! * the CLI's `blitzsplit calibrate` subcommand writes the file.
@@ -40,8 +35,6 @@
 //! ```text
 //! blitz-profile v1
 //! # written by `blitzsplit calibrate`
-//! kernel = simd
-//! scalar_wave_floor = 4
 //! conv_min_rels = 6
 //! conv_min_rels.kappa0 = 5
 //! conv_min_rels.kappa_sm = 6
@@ -49,13 +42,13 @@
 //!
 //! `conv_min_rels.<model>` keys carry the per-model crossover, keyed by
 //! [`CostModel::name`]; the bare `conv_min_rels` is the default for
-//! models without their own line. Unknown keys are skipped (a v1 reader
-//! stays usable on a richer future profile); malformed lines and a
-//! missing or wrong header are errors.
+//! models without their own line. Unknown keys are skipped, so a v1
+//! reader stays usable on a richer future profile — and on older ones,
+//! whose retired split-kernel and wave-floor lines are ignored.
+//! Malformed lines and a missing or wrong header are errors.
 
-use crate::conv::{DriverChoice, CONV_AUTO_MIN_RELS, DEFAULT_SCALAR_WAVE_FLOOR};
+use crate::conv::{DriverChoice, CONV_AUTO_MIN_RELS};
 use crate::cost::{CostModel, DiskNestedLoops, Kappa0, SmDnl, SortMerge};
-use crate::kernel::KernelChoice;
 use crate::spec::JoinSpec;
 use crate::split::DriveOptions;
 use crate::table::LayoutChoice;
@@ -75,10 +68,6 @@ const HEADER: &str = "blitz-profile v1";
 /// partial (or empty) profile degrades gracefully.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CalibrationProfile {
-    /// Fastest split kernel measured on this host.
-    pub kernel: Option<KernelChoice>,
-    /// Fastest scalar wave floor measured on this host.
-    pub scalar_wave_floor: Option<u8>,
     /// Default `Auto` driver crossover for models without a per-model
     /// entry.
     pub conv_min_rels: Option<usize>,
@@ -100,23 +89,15 @@ impl CalibrationProfile {
             .or(self.conv_min_rels)
     }
 
-    /// Overlay this profile's measured knobs onto `options` for a run
-    /// of the named model: kernel, floor and crossover are replaced
-    /// where the profile has a measurement, everything else passes
-    /// through. Callers with explicit user overrides apply them *after*
-    /// this (explicit > profile > compiled).
+    /// Overlay this profile's measured crossover onto `options` for a
+    /// run of the named model; everything else passes through. Callers
+    /// with explicit user overrides apply them *after* this (explicit >
+    /// profile > compiled).
     pub fn apply(&self, options: DriveOptions, model_name: &str) -> DriveOptions {
-        let mut options = options;
-        if let Some(kernel) = self.kernel {
-            options = options.with_kernel(kernel);
+        match self.conv_min_rels_for(model_name) {
+            Some(min_rels) => options.with_conv_min_rels(min_rels),
+            None => options,
         }
-        if let Some(floor) = self.scalar_wave_floor {
-            options = options.with_scalar_wave_floor(floor);
-        }
-        if let Some(min_rels) = self.conv_min_rels_for(model_name) {
-            options = options.with_conv_min_rels(min_rels);
-        }
-        options
     }
 
     /// Parse a profile from its text form. Inverse of
@@ -146,21 +127,13 @@ impl CalibrationProfile {
                     format!("line {}: bad relation count {v:?}", idx + 2)
                 })
             };
-            if key == "kernel" {
-                profile.kernel = Some(KernelChoice::parse(value).ok_or_else(|| {
-                    format!("line {}: unknown kernel {value:?}", idx + 2)
-                })?);
-            } else if key == "scalar_wave_floor" {
-                profile.scalar_wave_floor = Some(value.parse::<u8>().map_err(|_| {
-                    format!("line {}: bad wave floor {value:?}", idx + 2)
-                })?);
-            } else if key == "conv_min_rels" {
+            if key == "conv_min_rels" {
                 profile.conv_min_rels = Some(parse_rels(value)?);
             } else if let Some(model) = key.strip_prefix("conv_min_rels.") {
                 profile.per_model.push((model.to_string(), parse_rels(value)?));
             }
             // Unknown keys: skipped, so a v1 reader tolerates fields a
-            // future version may add.
+            // future version may add and those a past one wrote.
         }
         profile.per_model.sort();
         Ok(profile)
@@ -174,12 +147,6 @@ impl CalibrationProfile {
         let mut out = String::new();
         out.push_str(HEADER);
         out.push('\n');
-        if let Some(kernel) = self.kernel {
-            out.push_str(&format!("kernel = {}\n", kernel.name()));
-        }
-        if let Some(floor) = self.scalar_wave_floor {
-            out.push_str(&format!("scalar_wave_floor = {floor}\n"));
-        }
         if let Some(min_rels) = self.conv_min_rels {
             out.push_str(&format!("conv_min_rels = {min_rels}\n"));
         }
@@ -227,9 +194,9 @@ pub fn host_profile() -> Option<&'static CalibrationProfile> {
 /// Knobs for [`calibrate`]: how much work the measurement pass does.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct CalibrateOptions {
-    /// Largest relation count timed (kernel and floor are picked at
-    /// this size, where the inner loop dominates). The driver
-    /// crossover sweep is capped below this to stay quick.
+    /// Largest relation count the driver crossover sweep times,
+    /// clamped to `8..=12`: past 12, conv's halved candidate count
+    /// dominates any per-row overhead on every model we ship.
     pub max_rels: usize,
     /// Timing repetitions per configuration; the minimum is kept
     /// (standard min-of-reps noise rejection for CPU-bound loops).
@@ -238,7 +205,7 @@ pub struct CalibrateOptions {
 
 impl Default for CalibrateOptions {
     fn default() -> CalibrateOptions {
-        CalibrateOptions { max_rels: 14, reps: 3 }
+        CalibrateOptions { max_rels: 12, reps: 3 }
     }
 }
 
@@ -302,59 +269,29 @@ fn crossover_for<M: CostModel + Sync>(
 ///
 /// The pass is deliberately short (a few hundred milliseconds at the
 /// default [`CalibrateOptions`]): it times the real optimizer — the
-/// same entry point the service uses — on synthetic cliques, so the
-/// numbers include exactly the batch-fill, dispatch and walk overheads
-/// the constants are meant to balance.
+/// same entry point the service uses, on the hot/cold layout the
+/// service defaults to — on synthetic cliques, so the numbers include
+/// exactly the per-row overheads the crossover is meant to balance.
 ///
-/// Every measured knob is pure scheduling; a profile can make the
-/// optimizer slower on a bad day, never wrong.
+/// The crossover is pure scheduling; a profile can make the optimizer
+/// slower on a bad day, never wrong.
 pub fn calibrate(opts: &CalibrateOptions) -> CalibrationProfile {
     let reps = opts.reps;
-    let big_n = opts.max_rels.clamp(8, 18);
-
-    // 1. Kernel: timed at the largest size, split driver, where the
-    //    inner-loop reformulation is the whole story. Raced on the
-    //    hot/cold layout: it is the only layout whose `cost_base` the
-    //    vector kernels can gather from (on AoS, `Simd` degrades to the
-    //    portable per-lane path and the race would be batched-vs-
-    //    batched noise), and it is the layout the service defaults to.
-    let big = clique_spec(big_n);
     let base = DriveOptions::serial().with_layout(LayoutChoice::HotCold);
-    let kernel = KernelChoice::ALL
-        .into_iter()
-        .min_by_key(|&k| time_drive(&big, &Kappa0, base.with_kernel(k), reps))
-        .unwrap_or_default();
-    let tuned = base.with_kernel(kernel);
 
-    // 2. Scalar wave floor: only meaningful when batches actually run.
-    let scalar_wave_floor = if kernel == KernelChoice::Scalar {
-        DEFAULT_SCALAR_WAVE_FLOOR
-    } else {
-        [0u8, 2, 4, 6]
-            .into_iter()
-            .min_by_key(|&floor| {
-                time_drive(&big, &Kappa0, tuned.with_scalar_wave_floor(floor), reps)
-            })
-            .unwrap_or(DEFAULT_SCALAR_WAVE_FLOOR)
-    };
-    let tuned = tuned.with_scalar_wave_floor(scalar_wave_floor);
-
-    // 3. Per-model driver crossover, swept over the small sizes where
-    //    the split/conv balance actually tips. Capped at 12 relations:
-    //    past that conv's halved candidate count dominates any per-row
-    //    overhead on every model we ship, and the sweep stays quick.
-    let hi = big_n.min(12);
-    let range = || 4..=hi;
+    // Per-model driver crossover, swept over the small sizes where the
+    // split/conv balance actually tips.
+    let range = || 4..=opts.max_rels.clamp(8, 12);
     let per_model: Vec<(String, usize)> = [
-        (Kappa0.name(), crossover_for(&Kappa0, tuned, range(), reps)),
-        (SortMerge.name(), crossover_for(&SortMerge, tuned, range(), reps)),
+        (Kappa0.name(), crossover_for(&Kappa0, base, range(), reps)),
+        (SortMerge.name(), crossover_for(&SortMerge, base, range(), reps)),
         (
             DiskNestedLoops::default().name(),
-            crossover_for(&DiskNestedLoops::default(), tuned, range(), reps),
+            crossover_for(&DiskNestedLoops::default(), base, range(), reps),
         ),
         (
             SmDnl::default().name(),
-            crossover_for(&SmDnl::default(), tuned, range(), reps),
+            crossover_for(&SmDnl::default(), base, range(), reps),
         ),
     ]
     .into_iter()
@@ -372,12 +309,7 @@ pub fn calibrate(opts: &CalibrateOptions) -> CalibrationProfile {
 
     let mut per_model = per_model;
     per_model.sort();
-    CalibrationProfile {
-        kernel: Some(kernel),
-        scalar_wave_floor: Some(scalar_wave_floor),
-        conv_min_rels: Some(conv_min_rels),
-        per_model,
-    }
+    CalibrationProfile { conv_min_rels: Some(conv_min_rels), per_model }
 }
 
 #[cfg(test)]
@@ -387,8 +319,6 @@ mod tests {
 
     fn synthetic() -> CalibrationProfile {
         CalibrationProfile {
-            kernel: Some(KernelChoice::Batched),
-            scalar_wave_floor: Some(2),
             conv_min_rels: Some(9),
             per_model: vec![
                 ("kappa_sm".to_string(), 3),
@@ -409,7 +339,7 @@ mod tests {
         let loose = format!("{HEADER}\n\n# comment\nfuture_knob = 7\nconv_min_rels = 5\n");
         let parsed = CalibrationProfile::parse(&loose).unwrap();
         assert_eq!(parsed.conv_min_rels, Some(5));
-        assert_eq!(parsed.kernel, None);
+        assert!(parsed.per_model.is_empty());
     }
 
     #[test]
@@ -417,9 +347,8 @@ mod tests {
         assert!(CalibrationProfile::parse("").is_err());
         assert!(CalibrationProfile::parse("blitz-profile v0\n").is_err());
         assert!(CalibrationProfile::parse(&format!("{HEADER}\nno equals here\n")).is_err());
-        assert!(CalibrationProfile::parse(&format!("{HEADER}\nkernel = warp\n")).is_err());
         assert!(CalibrationProfile::parse(&format!("{HEADER}\nconv_min_rels = many\n")).is_err());
-        assert!(CalibrationProfile::parse(&format!("{HEADER}\nscalar_wave_floor = -1\n")).is_err());
+        assert!(CalibrationProfile::parse(&format!("{HEADER}\nconv_min_rels.kappa0 = -1\n")).is_err());
     }
 
     #[test]
@@ -435,8 +364,7 @@ mod tests {
     }
 
     /// The acceptance-criterion test: a synthetic profile demonstrably
-    /// overrides the compiled defaults in `Auto` driver / kernel /
-    /// floor resolution.
+    /// overrides the compiled default in `Auto` driver resolution.
     #[test]
     fn synthetic_profile_overrides_compiled_defaults() {
         let p = synthetic();
@@ -446,14 +374,12 @@ mod tests {
         assert_eq!(p.conv_min_rels_for("kappa0"), Some(9)); // falls to default
         assert_eq!(CalibrationProfile::default().conv_min_rels_for("kappa0"), None);
 
-        // apply(): measured knobs replace compiled ones on the options.
+        // apply(): the measured crossover replaces the compiled one.
         let compiled = DriveOptions::serial();
         assert_eq!(compiled.conv_min_rels, CONV_AUTO_MIN_RELS);
-        assert_eq!(compiled.scalar_wave_floor, DEFAULT_SCALAR_WAVE_FLOOR);
         let tuned = p.apply(compiled, "kappa_sm");
-        assert_eq!(tuned.kernel, KernelChoice::Batched);
-        assert_eq!(tuned.scalar_wave_floor, 2);
         assert_eq!(tuned.conv_min_rels, 3);
+        assert_eq!(DriveOptions { conv_min_rels: compiled.conv_min_rels, ..tuned }, compiled);
 
         // ...and Auto resolution actually moves: with the compiled
         // crossover a 4-relation SortMerge query splits; under the
@@ -468,11 +394,8 @@ mod tests {
             DriverChoice::Conv
         );
 
-        // A partial profile leaves un-measured knobs alone.
-        let partial = CalibrationProfile { kernel: None, ..synthetic() };
-        let tuned = partial.apply(compiled, "kappa0");
-        assert_eq!(tuned.kernel, compiled.kernel);
-        assert_eq!(tuned.conv_min_rels, 9);
+        // An empty profile leaves the options alone.
+        assert_eq!(CalibrationProfile::default().apply(compiled, "kappa0"), compiled);
     }
 
     /// A real (tiny) measurement pass produces a complete profile whose
@@ -481,8 +404,6 @@ mod tests {
     #[test]
     fn calibrate_produces_a_complete_round_tripping_profile() {
         let p = calibrate(&CalibrateOptions { max_rels: 8, reps: 1 });
-        assert!(p.kernel.is_some());
-        assert!(p.scalar_wave_floor.is_some());
         assert!(p.conv_min_rels.is_some());
         let names: Vec<&str> = p.per_model.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["kappa0", "kappa_dnl", "kappa_sm", "min(kappa_sm,kappa_dnl)"]);

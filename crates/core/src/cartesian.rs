@@ -16,7 +16,6 @@
 use crate::bitset::RelSet;
 use crate::conv::RowEngine;
 use crate::cost::CostModel;
-use crate::kernel::ResolvedKernel;
 use crate::plan::Plan;
 use crate::spec::{JoinSpec, SpecError};
 use crate::split::{drive, drive_parallel, init_singleton, DriveOptions};
@@ -67,31 +66,6 @@ where
     M: CostModel,
     St: Stats,
 {
-    optimize_products_into_kernel::<L, M, St, PRUNE>(
-        cards,
-        model,
-        cap,
-        ResolvedKernel::Scalar,
-        stats,
-    )
-}
-
-/// Serial product optimization with an explicit, already-resolved split
-/// kernel — the common body behind [`optimize_products_into`] (scalar)
-/// and the serial arm of [`optimize_products_into_with`] (whatever
-/// [`DriveOptions::kernel`] resolves to).
-pub(crate) fn optimize_products_into_kernel<L, M, St, const PRUNE: bool>(
-    cards: &[f64],
-    model: &M,
-    cap: f32,
-    kernel: ResolvedKernel,
-    stats: &mut St,
-) -> L
-where
-    L: TableLayout,
-    M: CostModel,
-    St: Stats,
-{
     let n = cards.len();
     assert!((1..=MAX_TABLE_RELS).contains(&n), "unsupported relation count {n}");
     let mut table = L::with_rels(n);
@@ -103,7 +77,7 @@ where
         model,
         n,
         cap,
-        RowEngine::with_kernel(kernel),
+        RowEngine::split(),
         stats,
         product_properties,
     );

@@ -15,7 +15,7 @@
 //!   precise diagnostic naming the row, the wave, and both workers.
 //! * Under plain `debug_assertions` (without `blitz_check`), a cheaper
 //!   subset runs with no atomics: writes must target the current wave's
-//!   popcount and, for the chunked schedule, fall inside the worker's
+//!   popcount and, when the worker claimed a chunk, fall inside its
 //!   chunk of the wave's Gosper enumeration (colex rank bounds).
 //! * In ordinary release builds this whole module is compiled out and
 //!   the instrumentation is a true no-op — the hotpath harness pins
@@ -88,8 +88,8 @@ pub(crate) struct WaveGuard {
     /// test usage outside a wave driver).
     wave: Option<usize>,
     /// Colex rank bounds `[lo, hi)` of this worker's chunk within the
-    /// wave's Gosper enumeration; `None` for the round-robin schedule
-    /// (ownership is row-index parity, not a contiguous rank range).
+    /// wave's Gosper enumeration; `None` when the caller owns the whole
+    /// wave (the single-threaded fill of a degenerate table).
     chunk: Option<(u64, u64)>,
     #[cfg(blitz_check)]
     worker: usize,

@@ -33,8 +33,8 @@
 //! * **Native** (κ0): `κ'' ≡ 0`, so a candidate's cost is the single
 //!   commutative addition `cost[L] + cost[R]` — exact with no help.
 //! * **Canonical** (κ_sm, κ_dnl, min(κ_sm, κ_dnl)): `κ''` is nonzero,
-//!   but every κ'' call site — the split walk, the batched re-judge and
-//!   this driver's anchored walk — presents the operands in a
+//!   but every κ'' call site — the split walk and this driver's anchored
+//!   walk — presents the operands in a
 //!   *canonical order*: the operand containing `min S` is always `L`
 //!   (the anchored walk satisfies this by construction, since its left
 //!   operand always contains the anchor `{min S}`; the split walk swaps
@@ -79,24 +79,10 @@
 //! below the crossover the split loop's smaller per-row constant wins
 //! (see EXPERIMENTS.md). Resolution happens once per drive in
 //! [`RowEngine::resolve`]; the row path dispatches on a `Copy` token.
-//!
-//! [`RowEngine`] also owns the per-wave scalar-vs-batched kernel
-//! selection: rows of popcount `k` deposit `2^k − 2` (split) or
-//! `2^(k−1) − 1` (conv) candidates, and a wave whose rows cannot fill
-//! even one [`LANES`]-wide batch pays the batch-fill bookkeeping without
-//! amortizing it, so waves below [`DEFAULT_SCALAR_WAVE_FLOOR`] run the
-//! scalar cascade regardless of the requested kernel. Kernels are
-//! bit-identical (tables, plans, counters — see [`crate::kernel`]), so
-//! the floor is pure scheduling; it is ablated in the hotpath bench.
 
 use crate::bitset::RelSet;
 use crate::cost::{ConvSupport, CostModel};
-#[cfg(target_arch = "aarch64")]
-use crate::kernel::gather_mask_neon;
-#[cfg(target_arch = "x86_64")]
-use crate::kernel::{gather_mask_avx2, gather_mask_avx512};
-use crate::kernel::{find_best_split_with, gather_mask_portable, ResolvedKernel, LANES, LANES_WIDE};
-use crate::split::DriveOptions;
+use crate::split::{find_best_split, DriveOptions};
 use crate::stats::Stats;
 use crate::table::TableLayout;
 
@@ -108,14 +94,6 @@ use crate::table::TableLayout;
 /// configuration from `n = 6` on all four workload topologies, and
 /// within noise at `n = 5`.
 pub const CONV_AUTO_MIN_RELS: usize = 6;
-
-/// Popcount below which [`RowEngine::run_row`] forces the scalar
-/// cascade: rows of popcount `k < 4` deposit at most `2^3 − 2 = 6`
-/// split candidates (conv: at most 7) — less than one [`LANES`]-wide
-/// batch — so batching is pure fill overhead there. `0` disables the
-/// floor (every row uses the requested kernel); the hotpath bench
-/// ablates exactly that.
-pub const DEFAULT_SCALAR_WAVE_FLOOR: u8 = 4;
 
 /// Runtime name for the DP driver used to fill each table row,
 /// selectable per [`crate::DriveOptions`] (env `BLITZ_TEST_DRIVER`, CLI
@@ -197,38 +175,27 @@ impl std::fmt::Display for DriverChoice {
 }
 
 /// The per-row execution policy, resolved once per drive: which DP
-/// driver fills a row, with which kernel, and below which popcount the
-/// scalar cascade stands in. A `Copy` token handed to every worker so
-/// neither feature detection nor capability probing sits on the row
-/// path.
+/// driver fills a row. A `Copy` token handed to every worker so the
+/// capability probe never sits on the row path.
 #[derive(Copy, Clone, Debug)]
 pub(crate) struct RowEngine {
-    /// Resolved split kernel for rows at or above the floor.
-    kernel: ResolvedKernel,
     /// Resolved driver — `Split` or `Conv`, never `Auto`.
     driver: DriverChoice,
-    /// Popcount below which rows run the scalar cascade.
-    scalar_wave_floor: u8,
 }
 
 impl RowEngine {
     /// Resolve a full [`DriveOptions`] policy against the model and
     /// problem size.
     pub(crate) fn resolve<M: CostModel>(options: DriveOptions, _model: &M, n: usize) -> RowEngine {
-        RowEngine {
-            kernel: options.kernel.resolve(),
-            driver: options.driver.resolve(M::CONV_SUPPORT, n, options.conv_min_rels),
-            scalar_wave_floor: options.scalar_wave_floor,
-        }
+        RowEngine { driver: options.driver.resolve(M::CONV_SUPPORT, n, options.conv_min_rels) }
     }
 
-    /// An engine pinned to an explicit, already-resolved kernel: split
-    /// driver, no scalar floor. The legacy serial entry points
-    /// ([`crate::join::optimize_join_into_kernel`] and friends) route
-    /// here so their enumeration — and therefore their `Counters` — is
-    /// exactly the reference split walk under the requested kernel.
-    pub(crate) fn with_kernel(kernel: ResolvedKernel) -> RowEngine {
-        RowEngine { kernel, driver: DriverChoice::Split, scalar_wave_floor: 0 }
+    /// The reference split driver. The legacy serial entry points
+    /// ([`crate::join::optimize_join_into`] and friends) route here so
+    /// their enumeration — and therefore their `Counters` — is exactly
+    /// the paper's split walk.
+    pub(crate) fn split() -> RowEngine {
+        RowEngine { driver: DriverChoice::Split }
     }
 
     /// Fill the row for `s` with this policy. Same contract as
@@ -247,46 +214,13 @@ impl RowEngine {
         M: CostModel,
         St: Stats,
     {
-        // Per-wave kernel selection: a row's popcount is its wave, so
-        // this one popcount test (s.len() is a single popcnt) applies
-        // the wave floor identically under the serial integer-order
-        // driver and the rank-wave parallel driver.
-        let kernel = if s.len() < usize::from(self.scalar_wave_floor) {
-            ResolvedKernel::Scalar
-        } else {
-            self.kernel
-        };
         match self.driver {
             DriverChoice::Conv => {
-                find_best_split_conv_with::<L, M, St, PRUNE>(table, model, s, cap, stats, kernel);
+                find_best_split_conv::<L, M, St, PRUNE>(table, model, s, cap, stats);
             }
-            _ => {
-                find_best_split_with::<L, M, St, PRUNE>(table, model, s, cap, stats, kernel);
-            }
+            _ => find_best_split::<L, M, St, PRUNE>(table, model, s, cap, stats),
         }
     }
-}
-
-/// Kernel-dispatching form of [`find_best_split_conv`], mirroring
-/// [`find_best_split_with`]: scalar reference for the `Scalar` kernel
-/// and the unpruned ablation, batched/SIMD otherwise.
-#[inline]
-pub(crate) fn find_best_split_conv_with<L, M, St, const PRUNE: bool>(
-    table: &mut L,
-    model: &M,
-    s: RelSet,
-    cap: f32,
-    stats: &mut St,
-    kernel: ResolvedKernel,
-) where
-    L: TableLayout,
-    M: CostModel,
-    St: Stats,
-{
-    if matches!(kernel, ResolvedKernel::Scalar) || !PRUNE {
-        return find_best_split_conv::<L, M, St, PRUNE>(table, model, s, cap, stats);
-    }
-    find_best_split_conv_batched::<L, M, St, PRUNE>(table, model, s, cap, stats, kernel);
 }
 
 /// Anchored convolution form of [`crate::split::find_best_split`]:
@@ -422,164 +356,6 @@ pub(crate) fn find_best_split_conv<L, M, St, const PRUNE: bool>(
     }
 }
 
-/// Batched/SIMD form of [`find_best_split_conv`], mirroring
-/// [`crate::kernel::find_best_split_batched`] stage for stage: the
-/// anchored walk runs ahead and deposits up to [`LANES`] candidate
-/// `lhs` sets, the batch is judged branchlessly against best₀ through
-/// the same gather helpers (they compute `rhs = s − lhs`, which for an
-/// anchored candidate is exactly `rest − sub`), and surviving lanes are
-/// re-judged in walk order against the running best — so the batched
-/// conv kernel is bit-identical (rows, `best_lhs`, counters) to the
-/// scalar conv cascade by the same argument that makes the batched
-/// split kernel bit-identical to its scalar cascade.
-fn find_best_split_conv_batched<L, M, St, const PRUNE: bool>(
-    table: &mut L,
-    model: &M,
-    s: RelSet,
-    cap: f32,
-    stats: &mut St,
-    kernel: ResolvedKernel,
-) where
-    L: TableLayout,
-    M: CostModel,
-    St: Stats,
-{
-    stats.subset();
-    let out_card = table.card(s);
-
-    stats.kappa_ind();
-    let kappa_ind = model.kappa_ind(out_card);
-    #[allow(clippy::neg_cmp_op_on_partial_ord)]
-    if !(kappa_ind < cap) {
-        table.set_cost(s, f32::INFINITY);
-        table.set_best_lhs(s, RelSet::EMPTY);
-        stats.loop_skipped();
-        return;
-    }
-
-    // SAFETY: the pointer (when present) is dereferenced only by the
-    // gather paths below, which index it with `lhs.index()` and
-    // `rhs.index()` for nonempty strict subsets of `s` — every batched
-    // candidate is `anchor ∪ sub` with `sub ⊊ s − anchor`, so both it
-    // and its complement are nonempty strict subsets, all smaller than
-    // `1 << rels()`, the extent `cost_base` guarantees — while the
-    // `&mut L` borrow held by this function keeps the buffer alive.
-    let base = unsafe { table.cost_base() };
-
-    let mut best = f32::INFINITY;
-    let mut best_lhs = RelSet::EMPTY;
-    let mut lhs_buf = [RelSet::EMPTY; LANES_WIDE];
-    let mut lhs_cost = [0.0f32; LANES_WIDE];
-    let mut oprnd = [0.0f32; LANES_WIDE];
-    let lanes = kernel.lanes();
-
-    let anchor = s.lowest_singleton();
-    let rest = s - anchor;
-    // Same anchored walk, same order, same termination as the scalar
-    // conv cascade; the batch buffer never reorders candidates, so the
-    // first-wins tie-break is decided on exactly the scalar visit
-    // order.
-    let mut sub = RelSet::EMPTY;
-    let mut done = false;
-    while !done {
-        let mut len = 0usize;
-        while len < lanes && !done {
-            stats.loop_iter();
-            lhs_buf[len] = anchor | sub;
-            len += 1;
-            let next_sub = rest.subset_successor(sub);
-            if next_sub == rest {
-                done = true;
-            } else {
-                sub = next_sub;
-            }
-        }
-
-        let mask = match (kernel, base) {
-            #[cfg(target_arch = "x86_64")]
-            (ResolvedKernel::Avx512, Some(base)) if len == LANES_WIDE => {
-                // SAFETY: `Avx512` is only resolved after
-                // `is_x86_feature_detected!("avx512f")`, and `base`
-                // covers every gathered index per the `cost_base`
-                // contract (all lanes hold nonempty strict subsets of
-                // `s`).
-                unsafe { gather_mask_avx512(base, s, &lhs_buf, best, &mut lhs_cost, &mut oprnd) }
-            }
-            #[cfg(target_arch = "x86_64")]
-            (ResolvedKernel::Avx2, Some(base)) if len == LANES => {
-                let lhs8 = lhs_buf.first_chunk::<LANES>().unwrap();
-                let lc8 = lhs_cost.first_chunk_mut::<LANES>().unwrap();
-                let op8 = oprnd.first_chunk_mut::<LANES>().unwrap();
-                // SAFETY: `Avx2` is only resolved after
-                // `is_x86_feature_detected!("avx2")`, and `base` covers
-                // every gathered index per the `cost_base` contract
-                // (all lanes hold nonempty strict subsets of `s`).
-                unsafe { gather_mask_avx2(base, s, lhs8, best, lc8, op8) }
-            }
-            #[cfg(target_arch = "aarch64")]
-            (ResolvedKernel::Neon, Some(base)) if len == LANES => {
-                let lhs8 = lhs_buf.first_chunk::<LANES>().unwrap();
-                let lc8 = lhs_cost.first_chunk_mut::<LANES>().unwrap();
-                let op8 = oprnd.first_chunk_mut::<LANES>().unwrap();
-                // SAFETY: NEON is baseline on aarch64, and `base` covers
-                // every gathered index per the `cost_base` contract
-                // (all lanes hold nonempty strict subsets of `s`).
-                unsafe { gather_mask_neon(base, s, lhs8, best, lc8, op8) }
-            }
-            _ => gather_mask_portable(table, s, &lhs_buf, len, best, &mut lhs_cost, &mut oprnd),
-        };
-
-        // Re-judge surviving lanes in walk order against the running
-        // best — the scalar cascade verbatim (see `crate::kernel`'s
-        // counter-parity argument, which applies unchanged: only the
-        // candidate sequence differs, and it is identical between the
-        // scalar and batched conv walks).
-        let mut m = mask;
-        while m != 0 {
-            let i = m.trailing_zeros() as usize;
-            m &= m - 1;
-            let cand = lhs_buf[i];
-            let cand_cost = lhs_cost[i];
-            if cand_cost < best {
-                let oprnd_cost = oprnd[i];
-                if oprnd_cost < best {
-                    let dpnd_cost = if M::HAS_DEP {
-                        stats.kappa_dep();
-                        let rhs = s - cand;
-                        // Every batched candidate is `anchor ∪ sub`, so
-                        // `(cand, rhs)` is already the canonical
-                        // lowest-relation-first order.
-                        oprnd_cost
-                            + model.kappa_dep(
-                                out_card,
-                                table.card(cand),
-                                table.card(rhs),
-                                table.aux(cand),
-                                table.aux(rhs),
-                            )
-                    } else {
-                        oprnd_cost
-                    };
-                    if dpnd_cost < best {
-                        stats.cond_hit();
-                        best = dpnd_cost;
-                        best_lhs = cand;
-                    }
-                }
-            }
-        }
-    }
-
-    let total = best + kappa_ind;
-    if total < cap {
-        table.set_cost(s, total);
-        table.set_best_lhs(s, best_lhs);
-    } else {
-        table.set_cost(s, f32::INFINITY);
-        table.set_best_lhs(s, RelSet::EMPTY);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -694,9 +470,9 @@ mod tests {
     }
 
     /// On κ0 the conv driver's cost and cardinality columns must be
-    /// **bit-identical** to the split driver's, across layouts and
-    /// kernels, and the recorded `best_lhs` must denote the same
-    /// unordered partition wherever the winning partition is unique.
+    /// **bit-identical** to the split driver's, across layouts, and the
+    /// recorded `best_lhs` must denote the same unordered partition
+    /// wherever the winning partition is unique.
     #[test]
     fn conv_cost_bits_match_split_on_kappa0() {
         let specs = [
@@ -744,71 +520,6 @@ mod tests {
             assert!(c_conv.loop_iters < c_split.loop_iters);
         }
     }
-
-    /// Batched and SIMD conv kernels must reproduce the scalar conv
-    /// cascade bit-for-bit — rows, `best_lhs`, and counters — across
-    /// layouts, including on a tie-heavy uniform catalog.
-    #[test]
-    fn conv_kernels_are_bit_identical_to_scalar_conv() {
-        let specs = [
-            JoinSpec::cartesian(&[10.0; 9]).unwrap(),
-            JoinSpec::new(
-                &[120.0, 7.0, 3300.0, 42.0, 9.0, 260.0, 18.0],
-                &[(0, 1, 0.01), (1, 2, 0.5), (2, 3, 0.002), (3, 4, 0.9), (0, 5, 0.03), (4, 6, 0.25)],
-            )
-            .unwrap(),
-            JoinSpec::cartesian(&[1e30, 1e30, 1e32, 1e28, 1e30]).unwrap(),
-        ];
-        for spec in &specs {
-            let reference = conv_snapshot::<AosTable>(spec, ResolvedKernel::Scalar);
-            for kernel in [ResolvedKernel::Batched, crate::kernel::KernelChoice::Simd.resolve()] {
-                let a = conv_snapshot::<AosTable>(spec, kernel);
-                let b = conv_snapshot::<SoaTable>(spec, kernel);
-                let c = conv_snapshot::<HotColdTable>(spec, kernel);
-                for got in [&a, &b, &c] {
-                    assert_eq!(got.0, reference.0, "rows via {kernel:?}");
-                    assert_eq!(got.1, reference.1, "counters via {kernel:?}");
-                }
-            }
-        }
-    }
-
-    fn conv_snapshot<L: TableLayout>(
-        spec: &JoinSpec,
-        kernel: ResolvedKernel,
-    ) -> (Vec<(u64, u32, u32)>, Counters) {
-        let n = spec.n();
-        let mut counters = Counters::default();
-        let mut table = L::with_rels(n);
-        for rel in 0..n {
-            crate::split::init_singleton(&mut table, &Kappa0, rel, spec.card(rel));
-        }
-        counters.pass();
-        let end = 1u32 << n;
-        let mut bits = 3u32;
-        while bits < end {
-            let s = RelSet::from_bits(bits);
-            if !s.is_singleton() {
-                crate::join::join_properties(&mut table, &Kappa0, spec, s);
-                find_best_split_conv_with::<L, Kappa0, Counters, true>(
-                    &mut table,
-                    &Kappa0,
-                    s,
-                    f32::INFINITY,
-                    &mut counters,
-                    kernel,
-                );
-            }
-            bits += 1;
-        }
-        let rows = (1u32..(1u32 << n))
-            .map(|b| {
-                let s = RelSet::from_bits(b);
-                (table.card(s).to_bits(), table.cost(s).to_bits(), table.best_lhs(s).bits())
-            })
-            .collect();
-        (rows, counters)
-    }
 }
 
 /// Seeded wave-discipline violations driven through [`RowEngine`]'s conv
@@ -821,14 +532,12 @@ mod check_tests {
     use super::*;
     use crate::bitset::RelSet;
     use crate::cost::Kappa0;
-    use crate::kernel::ResolvedKernel;
     use crate::stats::NoStats;
     use crate::table::{AosTable, SyncTable, TableLayout};
 
-    /// Conv engine with the scalar cascade pinned, so the seeded rows
-    /// exercise `find_best_split_conv` itself.
+    /// Conv engine, so the seeded rows exercise `find_best_split_conv`.
     fn conv_engine() -> RowEngine {
-        RowEngine { kernel: ResolvedKernel::Scalar, driver: DriverChoice::Conv, scalar_wave_floor: 0 }
+        RowEngine { driver: DriverChoice::Conv }
     }
 
     /// Conv fill of a popcount-3 row while wave 4 is in progress: the

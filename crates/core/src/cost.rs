@@ -51,7 +51,7 @@
 ///   unordered partition.
 /// * [`Canonical`](ConvSupport::Canonical) — `κ''` is nonzero but
 ///   **orientation-invariant once operands are presented in a canonical
-///   order**: every κ'' call site (split and conv, scalar and batched)
+///   order**: every κ'' call site (the split walk and the conv walk)
 ///   normalizes the operand pair to lowest-relation-first — the operand
 ///   containing `min S` is passed as `L` — before calling
 ///   [`CostModel::kappa_dep`]. Both orientations of an unordered

@@ -191,7 +191,7 @@ where
         model,
         n,
         cap,
-        crate::conv::RowEngine::with_kernel(crate::kernel::ResolvedKernel::Scalar),
+        crate::conv::RowEngine::split(),
         stats,
         |t, m, s| hyper_properties(t, m, spec, s),
     );

@@ -25,7 +25,6 @@ use crate::bitset::RelSet;
 use crate::cartesian::Optimized;
 use crate::conv::RowEngine;
 use crate::cost::CostModel;
-use crate::kernel::ResolvedKernel;
 use crate::plan::Plan;
 use crate::spec::{JoinSpec, SpecError};
 use crate::split::{drive, drive_parallel, init_singleton, DriveOptions};
@@ -83,25 +82,6 @@ where
     M: CostModel,
     St: Stats,
 {
-    optimize_join_into_kernel::<L, M, St, PRUNE>(spec, model, cap, ResolvedKernel::Scalar, stats)
-}
-
-/// Serial join optimization with an explicit, already-resolved split
-/// kernel — the common body behind [`optimize_join_into`] (scalar) and
-/// the serial arm of [`optimize_join_into_with`] (whatever
-/// [`DriveOptions::kernel`] resolves to).
-pub(crate) fn optimize_join_into_kernel<L, M, St, const PRUNE: bool>(
-    spec: &JoinSpec,
-    model: &M,
-    cap: f32,
-    kernel: ResolvedKernel,
-    stats: &mut St,
-) -> L
-where
-    L: TableLayout,
-    M: CostModel,
-    St: Stats,
-{
     let n = spec.n();
     assert!(n <= MAX_TABLE_RELS, "unsupported relation count {n}");
     let mut table = L::with_rels(n);
@@ -113,7 +93,7 @@ where
         model,
         n,
         cap,
-        RowEngine::with_kernel(kernel),
+        RowEngine::split(),
         stats,
         |t, m, s| join_properties(t, m, spec, s),
     );

@@ -49,7 +49,6 @@ pub mod conv;
 pub mod cost;
 pub mod hyper;
 pub mod join;
-pub mod kernel;
 pub mod ordered;
 pub mod plan;
 pub mod spec;
@@ -64,15 +63,14 @@ pub use cartesian::{
     optimize_products_with, Optimized,
 };
 pub use calibrate::{calibrate, host_profile, CalibrateOptions, CalibrationProfile, PROFILE_ENV};
-pub use conv::{DriverChoice, CONV_AUTO_MIN_RELS, DEFAULT_SCALAR_WAVE_FLOOR};
+pub use conv::{DriverChoice, CONV_AUTO_MIN_RELS};
 pub use cost::{ConvSupport, CostModel, DiskNestedLoops, JoinAlgorithm, Kappa0, SmDnl, SortMerge};
 pub use hyper::{optimize_hyper, optimize_hyper_into, HyperSpec};
 pub use join::{optimize_join, optimize_join_into, optimize_join_into_with, optimize_join_with};
-pub use kernel::KernelChoice;
 pub use ordered::{optimize_ordered, optimize_ordered_naive, OrderedOptimized, OrderedPlan, OrderedSpec};
 pub use plan::{AnnotatedPlan, Plan, PlanArena, PlanNodeId};
 pub use spec::{JoinSpec, SpecError};
-pub use split::{DriveOptions, WaveSchedule};
+pub use split::{DriveOptions, KernelChoice};
 pub use stats::{Counters, NoStats, Stats};
 pub use table::{
     AosTable, CompactProductTable, HotColdTable, LayoutChoice, SoaTable, SyncTable, SyncTableView,

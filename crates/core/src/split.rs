@@ -19,46 +19,21 @@
 //! and the `PRUNE` switch (the ablation benches compile both variants).
 
 use crate::bitset::RelSet;
-use crate::conv::{RowEngine, DriverChoice, CONV_AUTO_MIN_RELS, DEFAULT_SCALAR_WAVE_FLOOR};
+use crate::conv::{DriverChoice, RowEngine, CONV_AUTO_MIN_RELS};
 use crate::cost::{ConvSupport, CostModel};
-use crate::kernel::KernelChoice;
 use crate::stats::Stats;
 use crate::table::{LayoutChoice, SyncTable, SyncTableView, TableLayout, WaveTableLayout};
 
-/// How the rank-wave parallel driver deals a wave's rows to workers.
+/// The split kernel: only the scalar nested-`if` cascade of
+/// [`find_best_split`] remains. This type survives solely because the
+/// service benchmark in `perfbench/` still names it (through
+/// [`DriveOptions::with_kernel`] and the service config's `kernel`
+/// field); nothing else may read it.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
-pub enum WaveSchedule {
-    /// Contiguous per-worker chunks of each wave, cache-line-aligned in
-    /// wave-rank space (16 rows — one line of dense hot costs — per
-    /// alignment unit). Adjacent workers write disjoint, monotone runs
-    /// of table indices, so no cache line is ever ping-ponged between
-    /// writers. The default.
+pub enum KernelChoice {
+    /// The paper's scalar nested-`if` cascade.
     #[default]
-    Chunked,
-    /// Historical round-robin dealing (`row % threads == worker`): every
-    /// worker walks the whole wave and neighbouring rows land on
-    /// different cores, interleaving their writes on shared cache
-    /// lines. Kept as the ablation baseline for the hotpath bench.
-    RoundRobin,
-}
-
-impl WaveSchedule {
-    /// Stable lower-case name (`chunked` / `roundrobin`).
-    pub fn name(self) -> &'static str {
-        match self {
-            WaveSchedule::Chunked => "chunked",
-            WaveSchedule::RoundRobin => "roundrobin",
-        }
-    }
-
-    /// Inverse of [`name`](WaveSchedule::name); `None` for unknown names.
-    pub fn parse(s: &str) -> Option<WaveSchedule> {
-        match s {
-            "chunked" => Some(WaveSchedule::Chunked),
-            "roundrobin" => Some(WaveSchedule::RoundRobin),
-            _ => None,
-        }
-    }
+    Scalar,
 }
 
 /// Execution options for the DP drivers — how much hardware to throw at
@@ -66,12 +41,12 @@ impl WaveSchedule {
 ///
 /// The default is read once per process from the environment —
 /// `BLITZ_TEST_THREADS` (unset or `1` ⇒ the serial driver),
-/// `BLITZ_TEST_LAYOUT` (`aos`/`soa`/`hotcold`), `BLITZ_TEST_KERNEL`
-/// (`scalar`/`batched`/`simd`) and `BLITZ_TEST_DRIVER`
+/// `BLITZ_TEST_LAYOUT` (`aos`/`soa`/`hotcold`) and `BLITZ_TEST_DRIVER`
 /// (`split`/`conv`/`auto`) — which lets a CI job force every
 /// default-configured optimization in the workspace through the parallel
-/// rank-wave driver, an alternate table layout, an alternate split
-/// kernel and/or the convolution driver without touching call sites.
+/// rank-wave driver, an alternate table layout and/or the convolution
+/// driver without touching call sites. A set but unparseable value
+/// panics, naming the variable and its value.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct DriveOptions {
     /// Worker threads for the rank-wave parallel driver. `1` is the
@@ -83,14 +58,6 @@ pub struct DriveOptions {
     /// to the matching monomorphization. The generic `*_into*` functions
     /// take the layout as a type parameter and ignore this field.
     pub layout: LayoutChoice,
-    /// Wave scheduling policy for the parallel driver (ignored by the
-    /// serial driver).
-    pub schedule: WaveSchedule,
-    /// Split kernel for the `find_best_split` inner loop — scalar
-    /// reference, portable batched, or runtime-dispatched SIMD. Resolved
-    /// against the hardware once per drive; all kernels produce
-    /// bit-identical tables, plans and counters (see [`crate::kernel`]).
-    pub kernel: KernelChoice,
     /// DP driver filling each row: the reference split enumeration, the
     /// anchored layered-convolution driver, or an automatic pick.
     /// Resolved against the cost model's [`CostModel::CONV_SUPPORT`]
@@ -104,26 +71,13 @@ pub struct DriveOptions {
     /// with the measured crossover from the host calibration profile
     /// when one is loaded (see [`crate::calibrate`]).
     pub conv_min_rels: usize,
-    /// Popcount below which rows run the scalar cascade regardless of
-    /// [`DriveOptions::kernel`]: small waves cannot fill a batch, so
-    /// batching them is pure overhead. Kernels are bit-identical, so
-    /// this is pure scheduling. `0` disables the floor.
-    pub scalar_wave_floor: u8,
 }
 
 impl DriveOptions {
     /// Explicit serial execution, ignoring any environment override and
     /// any loaded calibration profile (compiled constants throughout).
     pub fn serial() -> DriveOptions {
-        DriveOptions {
-            parallelism: 1,
-            layout: LayoutChoice::default(),
-            schedule: WaveSchedule::default(),
-            kernel: KernelChoice::default(),
-            driver: DriverChoice::default(),
-            conv_min_rels: CONV_AUTO_MIN_RELS,
-            scalar_wave_floor: DEFAULT_SCALAR_WAVE_FLOOR,
-        }
+        DriveOptions::parallel(1)
     }
 
     /// Rank-wave parallel execution on `threads` workers (`0` = auto).
@@ -131,11 +85,8 @@ impl DriveOptions {
         DriveOptions {
             parallelism: threads,
             layout: LayoutChoice::default(),
-            schedule: WaveSchedule::default(),
-            kernel: KernelChoice::default(),
             driver: DriverChoice::default(),
             conv_min_rels: CONV_AUTO_MIN_RELS,
-            scalar_wave_floor: DEFAULT_SCALAR_WAVE_FLOOR,
         }
     }
 
@@ -144,14 +95,11 @@ impl DriveOptions {
         DriveOptions { layout, ..self }
     }
 
-    /// This policy with a different wave schedule.
-    pub fn with_schedule(self, schedule: WaveSchedule) -> DriveOptions {
-        DriveOptions { schedule, ..self }
-    }
-
-    /// This policy with a different split kernel.
-    pub fn with_kernel(self, kernel: KernelChoice) -> DriveOptions {
-        DriveOptions { kernel, ..self }
+    /// The identity: [`KernelChoice`] has one variant, so there is no
+    /// kernel to pick. Kept only because the service benchmark in
+    /// `perfbench/` still calls it; nothing else may.
+    pub fn with_kernel(self, _kernel: KernelChoice) -> DriveOptions {
+        self
     }
 
     /// This policy with a different DP driver.
@@ -164,11 +112,6 @@ impl DriveOptions {
         DriveOptions { conv_min_rels, ..self }
     }
 
-    /// This policy with a different scalar wave floor (`0` disables).
-    pub fn with_scalar_wave_floor(self, scalar_wave_floor: u8) -> DriveOptions {
-        DriveOptions { scalar_wave_floor, ..self }
-    }
-
     /// The concrete worker count: resolves `0` to the machine's available
     /// parallelism and never returns 0.
     pub fn effective_parallelism(&self) -> usize {
@@ -179,50 +122,43 @@ impl DriveOptions {
     }
 }
 
+/// Parse one `BLITZ_TEST_*` override: `None` when the variable is unset,
+/// the parsed value when it parses, and a panic naming the variable and
+/// its value otherwise — a CI leg with a typo in its override must fail
+/// instead of silently testing the default configuration.
+fn env_override<T>(
+    var: &str,
+    value: Option<&str>,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Option<T> {
+    let value = value?;
+    match parse(value) {
+        Some(parsed) => Some(parsed),
+        None => panic!("{var}={value:?} is not a valid value"),
+    }
+}
+
 impl Default for DriveOptions {
     fn default() -> DriveOptions {
         // Resolved once per process. Precedence per knob: explicit
         // `BLITZ_TEST_*` environment override > measured host profile
         // (`BLITZ_PROFILE`, see [`crate::calibrate`]) > compiled
-        // constant. The profile carries only the knobs the calibrator
-        // measures (kernel, scalar wave floor, `Auto` crossover);
-        // layout, schedule, driver and thread count keep their compiled
-        // defaults unless the environment says otherwise.
+        // constant. The profile carries only the `Auto` crossover;
+        // layout, driver and thread count keep their compiled defaults
+        // unless the environment says otherwise.
         static ENV: std::sync::OnceLock<DriveOptions> = std::sync::OnceLock::new();
         *ENV.get_or_init(|| {
-            let profile = crate::calibrate::host_profile();
-            let parallelism = std::env::var("BLITZ_TEST_THREADS")
-                .ok()
-                .and_then(|v| v.parse::<usize>().ok())
-                .unwrap_or(1);
-            let layout = std::env::var("BLITZ_TEST_LAYOUT")
-                .ok()
-                .and_then(|v| LayoutChoice::parse(&v))
-                .unwrap_or_default();
-            let kernel = std::env::var("BLITZ_TEST_KERNEL")
-                .ok()
-                .and_then(|v| KernelChoice::parse(&v))
-                .or_else(|| profile.and_then(|p| p.kernel))
-                .unwrap_or_default();
-            let driver = std::env::var("BLITZ_TEST_DRIVER")
-                .ok()
-                .and_then(|v| DriverChoice::parse(&v))
-                .unwrap_or_default();
-            let conv_min_rels = profile
+            fn env<T>(var: &str, parse: impl Fn(&str) -> Option<T>) -> Option<T> {
+                env_override(var, std::env::var(var).ok().as_deref(), parse)
+            }
+            let parallelism =
+                env("BLITZ_TEST_THREADS", |v| v.parse::<usize>().ok()).unwrap_or(1);
+            let layout = env("BLITZ_TEST_LAYOUT", LayoutChoice::parse).unwrap_or_default();
+            let driver = env("BLITZ_TEST_DRIVER", DriverChoice::parse).unwrap_or_default();
+            let conv_min_rels = crate::calibrate::host_profile()
                 .and_then(|p| p.conv_min_rels)
                 .unwrap_or(CONV_AUTO_MIN_RELS);
-            let scalar_wave_floor = profile
-                .and_then(|p| p.scalar_wave_floor)
-                .unwrap_or(DEFAULT_SCALAR_WAVE_FLOOR);
-            DriveOptions {
-                parallelism,
-                layout,
-                schedule: WaveSchedule::default(),
-                kernel,
-                driver,
-                conv_min_rels,
-                scalar_wave_floor,
-            }
+            DriveOptions { parallelism, layout, driver, conv_min_rels }
         })
     }
 }
@@ -521,7 +457,7 @@ pub(crate) fn rank_same_popcount(bits: u64) -> u64 {
 /// costs = one 64-byte cache line of [`crate::table::HotColdTable`]'s
 /// hot array, so two workers' hot-cost writes can only meet on a line
 /// at most once per wave (at a rounding-truncated final chunk), not on
-/// every line as with round-robin dealing.
+/// every line as they would if rows were dealt one at a time.
 const CHUNK_ALIGN_ROWS: u64 = 16;
 
 /// Drive `compute_properties` + `find_best_split` over every non-singleton
@@ -532,19 +468,19 @@ const CHUNK_ALIGN_ROWS: u64 = 16;
 /// This is valid because every table access for a set `S` either writes
 /// `S`'s own row or reads rows of strict subsets of `S` — which all have
 /// smaller popcount and were completed in earlier waves. Within a wave,
-/// each row is assigned to exactly one worker — by default a contiguous,
+/// each row is assigned to exactly one worker — a contiguous,
 /// alignment-rounded chunk of the wave's Gosper enumeration per worker
-/// ([`WaveSchedule::Chunked`]; workers jump to their chunk with
-/// [`nth_same_popcount`]) — so writes are disjoint; a barrier separates
-/// waves. See [`SyncTable`] for the full safety argument.
+/// (workers jump to their chunk with [`nth_same_popcount`]) — so writes
+/// are disjoint; a barrier separates waves. See [`SyncTable`] for the
+/// full safety argument.
 ///
 /// The worker count is clamped to the widest wave's row count: surplus
 /// workers could never be handed a row and would only ever wait at
 /// barriers, so small-`n` tables on many-core hosts (`n = 4`,
 /// `threads = 16`) don't spawn 10 threads of pure synchronization.
 ///
-/// Produces a table bit-identical to [`drive`]'s under *every* schedule
-/// and worker count: each row's computation is self-contained and
+/// Produces a table bit-identical to [`drive`]'s under every worker
+/// count: each row's computation is self-contained and
 /// deterministic (see the tie-break note in [`find_best_split`]), and
 /// all drivers respect the same subset-before-superset dependency order
 /// — which rows run on which worker, and in what order within a wave,
@@ -564,10 +500,9 @@ pub(crate) fn drive_parallel<L, M, St, F, const PRUNE: bool>(
     F: Fn(&mut SyncTableView<L>, &M, RelSet) + Sync,
 {
     let threads = options.effective_parallelism();
-    let schedule = options.schedule;
-    // Resolve the kernel, driver and wave floor once, before any worker
-    // spawns: feature detection and the model capability probe stay off
-    // the row path and every worker dispatches on the same `Copy` token.
+    // Resolve the driver once, before any worker spawns: the model
+    // capability probe stays off the row path and every worker
+    // dispatches on the same `Copy` token.
     let engine = RowEngine::resolve(options, model, n);
     debug_assert!(threads >= 2, "use `drive` for serial execution");
     stats.pass();
@@ -598,55 +533,32 @@ pub(crate) fn drive_parallel<L, M, St, F, const PRUNE: bool>(
         let workers: Vec<_> = (0..threads)
             .map(|t| {
                 // SAFETY: within each wave every row is handled by
-                // exactly one worker (disjoint chunk ranges, or the
-                // round-robin deal), reads are confined to
-                // strictly-smaller-popcount rows from earlier waves, and
-                // a barrier separates waves — the SyncTable discipline.
+                // exactly one worker (disjoint chunk ranges), reads are
+                // confined to strictly-smaller-popcount rows from
+                // earlier waves, and a barrier separates waves — the
+                // SyncTable discipline.
                 let mut view = unsafe { shared.view() };
                 scope.spawn(move || {
                     let mut local = St::default();
                     for k in 2..=n {
-                        match schedule {
-                            WaveSchedule::Chunked => {
-                                let rows = binomial(n, k);
-                                // Even deal, rounded up to whole cache
-                                // lines of hot costs; trailing workers
-                                // may come up empty on narrow waves.
-                                let per = rows.div_ceil(threads as u64);
-                                let chunk = per.div_ceil(CHUNK_ALIGN_ROWS) * CHUNK_ALIGN_ROWS;
-                                let start = t as u64 * chunk;
-                                let stop = (start + chunk).min(rows).max(start);
-                                view.begin_wave(k, Some((start, stop)));
-                                if start < rows {
-                                    let mut bits = nth_same_popcount(k, start);
-                                    for _ in start..stop {
-                                        let s = RelSet::from_wave_bits(bits);
-                                        compute_properties(&mut view, model, s);
-                                        engine.run_row::<SyncTableView<L>, M, St, PRUNE>(
-                                            &mut view, model, s, cap, &mut local,
-                                        );
-                                        bits = same_popcount_successor(bits);
-                                    }
-                                }
-                            }
-                            WaveSchedule::RoundRobin => {
-                                // No contiguous rank range to pin down:
-                                // round-robin ownership is checked only
-                                // by the shadow words' per-row owners.
-                                view.begin_wave(k, None);
-                                let mut row = 0usize;
-                                let mut bits = (1u64 << k) - 1;
-                                while bits < end {
-                                    if row % threads == t {
-                                        let s = RelSet::from_wave_bits(bits);
-                                        compute_properties(&mut view, model, s);
-                                        engine.run_row::<SyncTableView<L>, M, St, PRUNE>(
-                                            &mut view, model, s, cap, &mut local,
-                                        );
-                                    }
-                                    row += 1;
-                                    bits = same_popcount_successor(bits);
-                                }
+                        let rows = binomial(n, k);
+                        // Even deal, rounded up to whole cache lines of
+                        // hot costs; trailing workers may come up empty
+                        // on narrow waves.
+                        let per = rows.div_ceil(threads as u64);
+                        let chunk = per.div_ceil(CHUNK_ALIGN_ROWS) * CHUNK_ALIGN_ROWS;
+                        let start = t as u64 * chunk;
+                        let stop = (start + chunk).min(rows).max(start);
+                        view.begin_wave(k, Some((start, stop)));
+                        if start < rows {
+                            let mut bits = nth_same_popcount(k, start);
+                            for _ in start..stop {
+                                let s = RelSet::from_wave_bits(bits);
+                                compute_properties(&mut view, model, s);
+                                engine.run_row::<SyncTableView<L>, M, St, PRUNE>(
+                                    &mut view, model, s, cap, &mut local,
+                                );
+                                bits = same_popcount_successor(bits);
                             }
                         }
                         barrier.wait();
@@ -778,26 +690,45 @@ mod tests {
     fn drive_options_builders_compose() {
         let o = DriveOptions::parallel(4)
             .with_layout(LayoutChoice::HotCold)
-            .with_schedule(WaveSchedule::RoundRobin)
-            .with_kernel(KernelChoice::Simd)
+            .with_kernel(KernelChoice::Scalar)
             .with_driver(DriverChoice::Conv)
-            .with_conv_min_rels(9)
-            .with_scalar_wave_floor(0);
+            .with_conv_min_rels(9);
         assert_eq!(o.parallelism, 4);
         assert_eq!(o.layout, LayoutChoice::HotCold);
-        assert_eq!(o.schedule, WaveSchedule::RoundRobin);
-        assert_eq!(o.kernel, KernelChoice::Simd);
         assert_eq!(o.driver, DriverChoice::Conv);
         assert_eq!(o.conv_min_rels, 9);
-        assert_eq!(o.scalar_wave_floor, 0);
+        assert_eq!(o.with_kernel(KernelChoice::Scalar), o);
         assert_eq!(DriveOptions::serial().effective_parallelism(), 1);
-        assert_eq!(DriveOptions::serial().kernel, KernelChoice::Scalar);
         assert_eq!(DriveOptions::serial().driver, DriverChoice::Split);
         assert_eq!(DriveOptions::serial().conv_min_rels, CONV_AUTO_MIN_RELS);
-        assert_eq!(DriveOptions::serial().scalar_wave_floor, DEFAULT_SCALAR_WAVE_FLOOR);
-        for s in [WaveSchedule::Chunked, WaveSchedule::RoundRobin] {
-            assert_eq!(WaveSchedule::parse(s.name()), Some(s));
-        }
-        assert_eq!(WaveSchedule::parse("diagonal"), None);
+    }
+
+    #[test]
+    fn env_override_parses_or_stays_unset() {
+        assert_eq!(env_override("BLITZ_TEST_LAYOUT", None, LayoutChoice::parse), None);
+        assert_eq!(
+            env_override("BLITZ_TEST_LAYOUT", Some("hotcold"), LayoutChoice::parse),
+            Some(LayoutChoice::HotCold)
+        );
+        assert_eq!(
+            env_override("BLITZ_TEST_DRIVER", Some("conv"), DriverChoice::parse),
+            Some(DriverChoice::Conv)
+        );
+        assert_eq!(
+            env_override("BLITZ_TEST_THREADS", Some("4"), |v| v.parse::<usize>().ok()),
+            Some(4)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "BLITZ_TEST_LAYOUT=\"hotcodl\" is not a valid value")]
+    fn env_override_rejects_a_misspelled_layout() {
+        env_override("BLITZ_TEST_LAYOUT", Some("hotcodl"), LayoutChoice::parse);
+    }
+
+    #[test]
+    #[should_panic(expected = "BLITZ_TEST_THREADS=\"four\"")]
+    fn env_override_rejects_a_non_numeric_thread_count() {
+        env_override("BLITZ_TEST_THREADS", Some("four"), |v| v.parse::<usize>().ok());
     }
 }

@@ -153,27 +153,6 @@ pub trait TableLayout {
     /// no-op, and out-of-range sets are ignored.
     #[inline]
     fn prefetch_cost(&self, _s: RelSet) {}
-
-    /// Base pointer of a dense `cost` column indexed by
-    /// [`RelSet::index`], if this layout has one — the batched/SIMD
-    /// split kernels gather operand costs straight from it. The default
-    /// `None` routes kernels through the safe
-    /// [`cost`](TableLayout::cost) accessor instead (AoS has no dense
-    /// column; checked-build views decline on purpose so every read
-    /// stays guard-validated).
-    ///
-    /// # Safety
-    ///
-    /// Implementors returning `Some(p)` guarantee `p` is valid for reads
-    /// of `1 << rels()` consecutive `f32`s (the whole cost column, one
-    /// per row index) for as long as `self` is borrowed. Callers must
-    /// not read through the pointer beyond that extent or after the
-    /// borrow ends, and — on shared views — must respect the same
-    /// race-freedom discipline as [`cost`](TableLayout::cost) reads.
-    #[inline]
-    unsafe fn cost_base(&self) -> Option<*const f32> {
-        None
-    }
 }
 
 fn check_rels(n: usize) {
@@ -376,15 +355,6 @@ impl TableLayout for SoaTable {
         if let Some(c) = self.costs.get(s.index()) {
             prefetch_read(c);
         }
-    }
-
-    // SAFETY: (implementor-side guarantee) `costs` is a `Vec<f32>` of
-    // exactly `1 << n` elements, fully initialized at allocation and
-    // never reallocated, so its base pointer is valid for the whole
-    // column while `self` is borrowed.
-    #[inline]
-    unsafe fn cost_base(&self) -> Option<*const f32> {
-        Some(self.costs.as_ptr())
     }
 }
 
@@ -674,15 +644,6 @@ impl TableLayout for HotColdTable {
             prefetch_read(unsafe { self.costs.ptr.as_ptr().add(s.index()) });
         }
     }
-
-    // SAFETY: (implementor-side guarantee) the aligned buffer holds
-    // exactly `1 << n` initialized `f32`s and is never reallocated, so
-    // its base pointer is valid for the whole column while `self` is
-    // borrowed.
-    #[inline]
-    unsafe fn cost_base(&self) -> Option<*const f32> {
-        Some(self.costs.ptr.as_ptr())
-    }
 }
 
 /// Raw per-row access to a layout's buffers, for the rank-wave parallel
@@ -783,19 +744,6 @@ pub unsafe trait WaveTableLayout: TableLayout {
     /// the buffer).
     #[inline]
     unsafe fn raw_prefetch_cost(_raw: Self::Raw, _s: RelSet) {}
-
-    /// Base pointer of the dense `cost` column captured in `raw`, if the
-    /// layout has one (see [`TableLayout::cost_base`]); `None` — the
-    /// default — otherwise. Returning the pointer is safe; *reads*
-    /// through it fall under this `unsafe trait`'s implementor contract:
-    /// `Some(p)` guarantees `p` addresses `1 << raw_rels(raw)`
-    /// consecutive `f32`s valid exactly as long, and under the same
-    /// wave discipline, as [`raw_cost`](WaveTableLayout::raw_cost)
-    /// reads.
-    #[inline]
-    fn raw_cost_base(_raw: Self::Raw) -> Option<*const f32> {
-        None
-    }
 }
 
 /// Raw parts of an [`AosTable`]: the row-array base pointer.
@@ -1018,14 +966,6 @@ unsafe impl WaveTableLayout for SoaTable {
         // contract; the address is only used as a prefetch hint.
         unsafe { prefetch_read(raw.costs.add(s.index())) }
     }
-
-    #[inline]
-    fn raw_cost_base(raw: SoaRaw) -> Option<*const f32> {
-        // The dense cost column's base; the `raw_cost_base` implementor
-        // contract (extent, lifetime, wave discipline) is met because
-        // `raw.costs` is the same pointer `raw_cost` reads through.
-        Some(raw.costs as *const f32)
-    }
 }
 
 /// Raw parts of a [`CompactProductTable`]: the 16-byte-row base pointer.
@@ -1239,14 +1179,6 @@ unsafe impl WaveTableLayout for HotColdTable {
         // contract; the address is only used as a prefetch hint.
         unsafe { prefetch_read(raw.costs.add(s.index())) }
     }
-
-    #[inline]
-    fn raw_cost_base(raw: HotColdRaw) -> Option<*const f32> {
-        // The dense hot array's base; the `raw_cost_base` implementor
-        // contract (extent, lifetime, wave discipline) is met because
-        // `raw.costs` is the same pointer `raw_cost` reads through.
-        Some(raw.costs as *const f32)
-    }
 }
 
 /// Shared-table handle for the rank-wave parallel driver: lets several
@@ -1362,12 +1294,12 @@ pub struct SyncTableView<L: WaveTableLayout> {
 }
 
 impl<L: WaveTableLayout> SyncTableView<L> {
-    /// Tell the view which wave it is about to process, and (for the
-    /// chunked schedule) which colex rank range `[lo, hi)` of that wave
-    /// this worker owns. The wave drivers call this at the top of every
-    /// wave; in ordinary release builds it compiles to nothing, while
-    /// checked builds use it to validate every subsequent access against
-    /// the rank-wave discipline.
+    /// Tell the view which wave it is about to process, and (when the
+    /// worker owns only part of it) which colex rank range `[lo, hi)` of
+    /// that wave this worker owns. The wave drivers call this at the top
+    /// of every wave; in ordinary release builds it compiles to nothing,
+    /// while checked builds use it to validate every subsequent access
+    /// against the rank-wave discipline.
     #[inline]
     pub fn begin_wave(&mut self, k: usize, chunk: Option<(u64, u64)>) {
         #[cfg(any(blitz_check, debug_assertions))]
@@ -1493,25 +1425,6 @@ impl<L: WaveTableLayout> TableLayout for SyncTableView<L> {
         // SAFETY: live borrow and in-bounds row (see above); prefetch
         // needs no race-freedom clause.
         unsafe { L::raw_prefetch_cost(self.raw, s) }
-    }
-
-    // SAFETY: (implementor-side guarantee) forwarded from the layout's
-    // `raw_cost_base`, whose extent/lifetime/discipline contract
-    // matches this view's `cost()` reads.
-    #[inline]
-    unsafe fn cost_base(&self) -> Option<*const f32> {
-        // Under the shadow checker, decline the dense column on purpose:
-        // the batched kernels then read every cost through the
-        // guard-checked `cost()` accessor above, so the wave discipline
-        // stays machine-enforced for the batched access pattern too.
-        #[cfg(blitz_check)]
-        {
-            None
-        }
-        #[cfg(not(blitz_check))]
-        {
-            L::raw_cost_base(self.raw)
-        }
     }
 }
 

@@ -521,11 +521,10 @@ pub struct ServiceConfig {
     /// which is bit-identical to the other layouts (the layout-
     /// equivalence suite enforces this), so it is purely a perf knob.
     pub layout: LayoutChoice,
-    /// Split kernel for the exact path. Defaults to
-    /// [`KernelChoice::Simd`], which resolves to the best kernel the
-    /// host supports (falling back to the portable batched kernel, and
-    /// always bit-identical to scalar — the kernel-equivalence suite
-    /// enforces this), so it too is purely a perf knob.
+    /// Unused: [`KernelChoice`] has one variant, the scalar cascade,
+    /// and the service never reads this field. Kept only because the
+    /// service benchmark in `perfbench/` still reads it; nothing else
+    /// may.
     pub kernel: KernelChoice,
     /// DP driver for the exact path. Defaults to [`DriverChoice::Auto`],
     /// which picks the layered-convolution driver when the cost model
@@ -537,9 +536,8 @@ pub struct ServiceConfig {
     pub driver: DriverChoice,
     /// A measured host calibration profile (from `blitzsplit
     /// calibrate`, loaded at startup via `serve --profile`). When set,
-    /// its measured kernel, scalar-wave floor, and per-model `Auto`
-    /// crossovers replace the compiled-constant defaults on the exact
-    /// path; [`layout`](ServiceConfig::layout) and
+    /// its measured per-model `Auto` crossovers replace the
+    /// compiled-constant default on the exact path; [`layout`](ServiceConfig::layout) and
     /// [`driver`](ServiceConfig::driver) stay config-driven, and
     /// per-request [`Request::driver`] overrides still win. `None`
     /// keeps the compiled constants.
@@ -603,7 +601,7 @@ impl Default for ServiceConfig {
             parallelism: 0,
             parallel_min_rels: 15,
             layout: LayoutChoice::HotCold,
-            kernel: KernelChoice::Simd,
+            kernel: KernelChoice::Scalar,
             driver: DriverChoice::Auto,
             profile: None,
             ladder: None,
@@ -645,6 +643,7 @@ impl OptimizerService {
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.metrics.snapshot(self.pool.depth(), self.cache.len());
         snap.pool_steals = self.pool.steals();
+        snap.worker_panics = self.pool.panics();
         snap
     }
 
@@ -673,18 +672,15 @@ impl OptimizerService {
     /// `parallel_min_rels` — must stay serial even when the process-wide
     /// `BLITZ_TEST_THREADS` override (honored by
     /// [`DriveOptions::default`]) is set. A loaded
-    /// [`profile`](ServiceConfig::profile) overlays its measured
-    /// kernel, wave floor, and the *model's own* `Auto` crossover last.
+    /// [`profile`](ServiceConfig::profile) overlays the *model's own*
+    /// measured `Auto` crossover last.
     fn drive_options(&self, n: usize, model: ModelId) -> DriveOptions {
         let options = if n >= self.config.parallel_min_rels && self.config.parallelism != 1 {
             DriveOptions::parallel(self.config.parallelism)
         } else {
             DriveOptions::serial()
         };
-        let options = options
-            .with_layout(self.config.layout)
-            .with_kernel(self.config.kernel)
-            .with_driver(self.config.driver);
+        let options = options.with_layout(self.config.layout).with_driver(self.config.driver);
         match &self.config.profile {
             Some(profile) => profile.apply(options, model.cost_model_name()),
             None => options,
@@ -1186,14 +1182,12 @@ mod tests {
         assert_eq!(split.fingerprint_tag(), "sm+driver=split");
     }
 
-    /// A loaded calibration profile rewires the exact path's measured
-    /// knobs per model: the profiled crossover decides whether `Auto`
+    /// A loaded calibration profile rewires the exact path's `Auto`
+    /// crossover per model: the profiled crossover decides whether `Auto`
     /// picks conv for that model, without touching other models.
     #[test]
     fn service_profile_overrides_auto_crossover_per_model() {
         let profile = CalibrationProfile {
-            kernel: None,
-            scalar_wave_floor: Some(2),
             conv_min_rels: Some(4),
             per_model: vec![("kappa_sm".to_string(), 30)],
         };
@@ -1207,7 +1201,6 @@ mod tests {
         // conv at the same size.
         let sm = service.drive_options(8, ModelId::SortMerge);
         assert_eq!(sm.conv_min_rels, 30);
-        assert_eq!(sm.scalar_wave_floor, 2);
         assert_eq!(
             DriverDisposition::new(ModelId::SortMerge, false, &sm, 8).exact_driver(),
             ExactDriver::Split

@@ -242,6 +242,7 @@ impl Metrics {
             frontend_batches: self.frontend_batches.load(Relaxed),
             frontend_batch_lines: self.frontend_batch_lines.load(Relaxed),
             pool_steals: 0,
+            worker_panics: 0,
             queue_depth: queue_depth as u64,
             cached_plans: cached_plans as u64,
             ladder_latency: self.ladder_latency.snapshot(),
@@ -316,6 +317,10 @@ pub struct MetricsSnapshot {
     /// Owned by the pool, not the registry; the service fills it in
     /// after [`Metrics::snapshot`] the same way as the gauges.
     pub pool_steals: u64,
+    /// Jobs that panicked on a worker-pool thread. The pool catches the
+    /// panic and the worker keeps serving; owned by the pool and filled
+    /// in like [`MetricsSnapshot::pool_steals`].
+    pub worker_panics: u64,
     /// Jobs waiting in the worker queue at snapshot time.
     pub queue_depth: u64,
     /// Completed plans resident in the cache at snapshot time.
@@ -342,7 +347,7 @@ impl MetricsSnapshot {
              ladder_refine_steps={} ladder_dp_blocks={} \
              connections_accepted={} connections_refused={} accept_transient_errors={} \
              live_connections={} frontend_batches={} frontend_batch_lines={} \
-             pool_steals={} queue_depth={} cached_plans={} \
+             pool_steals={} worker_panics={} queue_depth={} cached_plans={} \
              ladder_p99_us={} optimize_p50_us={} optimize_p99_us={} request_mean_us={:.0}",
             self.requests,
             self.cache_hits,
@@ -374,6 +379,7 @@ impl MetricsSnapshot {
             self.frontend_batches,
             self.frontend_batch_lines,
             self.pool_steals,
+            self.worker_panics,
             self.queue_depth,
             self.cached_plans,
             self.ladder_latency.quantile_upper_micros(0.99),
@@ -442,6 +448,7 @@ impl std::fmt::Display for MetricsSnapshot {
             self.frontend_batches, self.frontend_batch_lines
         )?;
         writeln!(f, "pool steals:         {}", self.pool_steals)?;
+        writeln!(f, "worker panics:       {}", self.worker_panics)?;
         writeln!(f, "queue depth:         {}", self.queue_depth)?;
         writeln!(
             f,
@@ -527,6 +534,7 @@ mod tests {
         m.frontend_batch_lines.fetch_add(9, Relaxed);
         let mut s = m.snapshot(0, 0);
         s.pool_steals = 7;
+        s.worker_panics = 1;
         let line = s.to_line();
         for field in [
             "connections_accepted=5",
@@ -536,6 +544,7 @@ mod tests {
             "frontend_batches=6",
             "frontend_batch_lines=9",
             "pool_steals=7",
+            "worker_panics=1",
         ] {
             assert!(line.contains(field), "{field} missing from {line}");
         }

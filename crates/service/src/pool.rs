@@ -8,7 +8,9 @@
 //! bound is the service's back-pressure signal, enforced by one shared
 //! counter: [`WorkerPool::submit`] never blocks — when the pool holds
 //! `queue_capacity` waiting jobs it hands the job *back* to the caller,
-//! which degrades to the greedy fallback instead of waiting. Dropping
+//! which degrades to the greedy fallback instead of waiting. A job that
+//! panics is caught and counted ([`WorkerPool::panics`]); its worker
+//! keeps serving. Dropping
 //! the pool shuts it down: queued jobs are discarded (their cache
 //! reservations resolve as abandoned on drop) and workers are joined.
 
@@ -42,6 +44,7 @@ struct Shared {
     capacity: usize,
     shutdown: AtomicBool,
     steals: AtomicU64,
+    panics: AtomicU64,
 }
 
 /// Fixed-size thread pool with bounded, non-blocking submission and
@@ -70,6 +73,7 @@ impl WorkerPool {
             capacity: queue_capacity,
             shutdown: AtomicBool::new(false),
             steals: AtomicU64::new(0),
+            panics: AtomicU64::new(0),
         });
         let handles = (0..workers)
             .map(|i| {
@@ -130,6 +134,12 @@ impl WorkerPool {
     pub fn steals(&self) -> u64 {
         self.shared.steals.load(Ordering::Relaxed)
     }
+
+    /// Jobs that panicked. Each panic is caught on the worker, which
+    /// then goes on to the next job.
+    pub fn panics(&self) -> u64 {
+        self.shared.panics.load(Ordering::Relaxed)
+    }
 }
 
 /// Pop one job from `shard` without blocking.
@@ -157,7 +167,14 @@ fn worker_loop(shared: &Shared, me: usize) {
         match job {
             Some(job) => {
                 shared.queued.fetch_sub(1, Ordering::AcqRel);
-                job();
+                // A panicking job must not take its worker down with it:
+                // the pool would shrink for good, and the shard the dead
+                // worker owned would only be drained by steals. The
+                // job's captured state unwinds as usual (a cache
+                // reservation resolves as abandoned on drop).
+                if std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).is_err() {
+                    shared.panics.fetch_add(1, Ordering::Relaxed);
+                }
             }
             None => {
                 // Nothing anywhere: park on the own-shard condvar. The
@@ -282,6 +299,18 @@ mod tests {
         assert!(pool.steals() >= 1, "no steals despite a pinned sibling");
         assert_eq!(pool.depth(), 0);
         block_tx.send(()).unwrap();
+    }
+
+    /// A panicking job is counted and its worker survives to run the
+    /// next one — on a one-worker pool nothing else could run it.
+    #[test]
+    fn worker_survives_a_panicking_job() {
+        let pool = WorkerPool::new(1, 4);
+        pool.submit(Box::new(|| panic!("seeded job panic"))).ok().unwrap();
+        let (tx, rx) = mpsc::channel();
+        pool.submit(Box::new(move || tx.send(()).unwrap())).ok().unwrap();
+        rx.recv_timeout(Duration::from_secs(5)).expect("worker died with the panicking job");
+        assert_eq!(pool.panics(), 1);
     }
 
     #[test]

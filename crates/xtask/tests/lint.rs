@@ -198,7 +198,7 @@ fn provenance_fixture_is_rejected_and_annotated_twin_accepted() {
 /// gate (not the annotations) is what fires.
 #[test]
 fn provenance_audited_modules_are_exempt() {
-    let findings = analyze_fixture("crates/core/src/kernel.rs", "provenance_missing.rs");
+    let findings = analyze_fixture("crates/core/src/check.rs", "provenance_missing.rs");
     assert!(
         findings.is_empty(),
         "audited module flagged:\n{}",

@@ -3,8 +3,7 @@
 //! ```text
 //! blitzsplit optimize --cards 10,20,30,40 --pred 0:1:0.1 --pred 0:2:0.2 \
 //!                     [--model k0|sm|dnl|smdnl] [--threshold 1e9] [--threads N] \
-//!                     [--layout aos|soa|hotcold] [--kernel scalar|batched|simd] \
-//!                     [--driver split|conv|auto] [--dot]
+//!                     [--layout aos|soa|hotcold] [--driver split|conv|auto] [--dot]
 //! blitzsplit optimize --ladder --cards ... [--pred i:j:sel]... [--budget-ms N] \
 //!                     [--refine-steps N] [--dp-window K] [--dp-rounds R] [--seed S]
 //! blitzsplit sql "SELECT * FROM sales s, customer c WHERE s.custkey = c.custkey"
@@ -12,10 +11,9 @@
 //! blitzsplit calibrate [--out blitz-profile.txt] [--max-rels N] [--reps R]
 //! blitzsplit serve  [--addr 127.0.0.1:7878] [--frontend poll|threads] [--max-conns N] \
 //!                   [--workers N] [--cache N] [--max-rels N] [--threads N] \
-//!                   [--layout aos|soa|hotcold] [--kernel scalar|batched|simd] \
-//!                   [--driver split|conv|auto] [--profile PATH] \
-//!                   [--ladder] [--budget-ms N] [--refine-steps N] [--dp-window K] \
-//!                   [--dp-rounds R] [--seed S]
+//!                   [--layout aos|soa|hotcold] [--driver split|conv|auto] \
+//!                   [--profile PATH] [--ladder] [--budget-ms N] [--refine-steps N] \
+//!                   [--dp-window K] [--dp-rounds R] [--seed S]
 //! blitzsplit client --addr HOST:PORT --cards 10,20,30 [--pred i:j:sel]... [--model ...] \
 //!                   [--deadline-ms N] [--driver split|conv|auto]
 //! blitzsplit client --addr HOST:PORT --metrics
@@ -32,11 +30,10 @@
 //! the ladder instead of degrading to greedy) on a TCP line protocol —
 //! the readiness-loop frontend by default, thread-per-connection with
 //! `--frontend threads` — and `client` talks to it. `calibrate` runs a
-//! short measured profile of this host (fastest kernel, scalar-wave
-//! floor, per-model conv crossovers) and writes it to a text file that
-//! `serve --profile` (or the `BLITZ_PROFILE` env var, for the library
-//! defaults) consumes, replacing the compiled-constant tuning knobs
-//! with measured ones.
+//! short measured profile of this host (per-model conv crossovers) and
+//! writes it to a text file that `serve --profile` (or the
+//! `BLITZ_PROFILE` env var, for the library defaults) consumes,
+//! replacing the compiled-constant crossover with measured ones.
 
 use blitzsplit::catalog::{demo_retail_catalog, parse_query, Topology, Workload};
 use blitzsplit::core::{
@@ -50,7 +47,7 @@ use blitzsplit::service::{
 };
 use blitzsplit::{
     optimize_join_threshold_with, optimize_join_with, DiskNestedLoops, DriveOptions, DriverChoice,
-    JoinSpec, Kappa0, KernelChoice, LayoutChoice, SmDnl, SortMerge, ThresholdSchedule,
+    JoinSpec, Kappa0, LayoutChoice, SmDnl, SortMerge, ThresholdSchedule,
 };
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -61,8 +58,7 @@ fn fail(msg: &str) -> ExitCode {
     eprintln!("usage:");
     eprintln!("  blitzsplit optimize --cards C1,C2,... [--pred i:j:sel]... \\");
     eprintln!("             [--model k0|sm|dnl|smdnl] [--threshold T] [--threads N] \\");
-    eprintln!("             [--layout aos|soa|hotcold] [--kernel scalar|batched|simd] \\");
-    eprintln!("             [--driver split|conv|auto] [--dot]");
+    eprintln!("             [--layout aos|soa|hotcold] [--driver split|conv|auto] [--dot]");
     eprintln!("  blitzsplit optimize --ladder --cards C1,C2,... [--pred i:j:sel]... \\");
     eprintln!("             [--model ...] [--budget-ms N] [--refine-steps N] \\");
     eprintln!("             [--dp-window K] [--dp-rounds R] [--seed S] [--max-rels N]");
@@ -73,9 +69,9 @@ fn fail(msg: &str) -> ExitCode {
     eprintln!("  blitzsplit serve [--addr 127.0.0.1:7878] [--frontend poll|threads] \\");
     eprintln!("             [--max-conns N] [--workers N] [--cache N] \\");
     eprintln!("             [--max-rels N] [--threads N] [--layout aos|soa|hotcold] \\");
-    eprintln!("             [--kernel scalar|batched|simd] [--driver split|conv|auto] \\");
-    eprintln!("             [--profile PATH] [--ladder] [--budget-ms N] \\");
-    eprintln!("             [--refine-steps N] [--dp-window K] [--dp-rounds R] [--seed S]");
+    eprintln!("             [--driver split|conv|auto] [--profile PATH] [--ladder] \\");
+    eprintln!("             [--budget-ms N] [--refine-steps N] [--dp-window K] \\");
+    eprintln!("             [--dp-rounds R] [--seed S]");
     eprintln!("  blitzsplit client --addr HOST:PORT (--metrics | --cards C1,C2,... \\");
     eprintln!("             [--pred i:j:sel]... [--model ...] [--deadline-ms N] \\");
     eprintln!("             [--driver split|conv|auto])");
@@ -329,15 +325,6 @@ fn main() -> ExitCode {
         Some(l) => drive_options.with_layout(l),
         None => drive_options,
     };
-    let kernel = match args.get("kernel").map(KernelChoice::parse) {
-        None => None,
-        Some(Some(k)) => Some(k),
-        Some(None) => return fail("--kernel must be one of scalar|batched|simd"),
-    };
-    let drive_options = match kernel {
-        Some(k) => drive_options.with_kernel(k),
-        None => drive_options,
-    };
     let driver = match args.get("driver").map(DriverChoice::parse) {
         None => None,
         Some(Some(d)) => Some(d),
@@ -484,9 +471,6 @@ fn main() -> ExitCode {
             }
             if let Some(l) = layout {
                 config.layout = l;
-            }
-            if let Some(k) = kernel {
-                config.kernel = k;
             }
             if let Some(d) = driver {
                 config.driver = d;

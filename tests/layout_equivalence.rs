@@ -5,13 +5,13 @@
 //! `CompactProductTable` — are interchangeable down to the last bit:
 //! every row's cost bits, cardinality bits and `best_lhs`, the extracted
 //! plan, and even the §3.3 instrumentation counters are identical across
-//! layouts, drivers (serial and rank-wave parallel at any worker count),
-//! and wave schedules (chunked and round-robin). Anything less and a
-//! "perf knob" would silently change query plans.
+//! layouts and drivers (serial and rank-wave parallel at any worker
+//! count). Anything less and a "perf knob" would silently change query
+//! plans.
 //!
 //! These tests pin that contract across the four paper topologies ×
-//! three cost models × {serial, 2, 5 threads} × both schedules, and
-//! through a multi-pass threshold schedule.
+//! three cost models × {serial, 2, 5 threads}, and through a multi-pass
+//! threshold schedule.
 
 use blitzsplit::catalog::{Topology, Workload};
 use blitzsplit::core::{
@@ -21,7 +21,7 @@ use blitzsplit::core::{
 };
 use blitzsplit::{
     CostModel, DiskNestedLoops, DriveOptions, JoinSpec, Kappa0, SmDnl, SortMerge,
-    ThresholdSchedule, WaveSchedule,
+    ThresholdSchedule,
 };
 
 const TOPOLOGIES: [Topology; 4] =
@@ -31,12 +31,7 @@ const TOPOLOGIES: [Topology; 4] =
 fn drive_variants() -> Vec<(String, DriveOptions)> {
     let mut v = vec![("serial".to_string(), DriveOptions::serial())];
     for threads in [2usize, 5] {
-        for schedule in [WaveSchedule::Chunked, WaveSchedule::RoundRobin] {
-            v.push((
-                format!("threads={threads}/{}", schedule.name()),
-                DriveOptions::parallel(threads).with_schedule(schedule),
-            ));
-        }
+        v.push((format!("threads={threads}"), DriveOptions::parallel(threads)));
     }
     v
 }

@@ -17,7 +17,7 @@ use blitzsplit::core::{
 };
 use blitzsplit::{
     optimize_join_threshold_with, CostModel, DriveOptions, DriverChoice, JoinSpec, Kappa0,
-    SortMerge, ThresholdSchedule, WaveSchedule,
+    SortMerge, ThresholdSchedule,
 };
 
 fn drive<L: blitzsplit::core::WaveTableLayout + Send, M: CostModel + Sync>(
@@ -31,40 +31,34 @@ fn drive<L: blitzsplit::core::WaveTableLayout + Send, M: CostModel + Sync>(
     assert!(table.cost(spec.all_rels()).is_finite() || true);
 }
 
-/// Both wave schedules, several thread counts, all layouts: the shadow
-/// checker must stay silent on the production drivers.
+/// Several thread counts, all layouts: the shadow checker must stay
+/// silent on the production drivers.
 #[test]
 fn parallel_drivers_pass_shadow_checking() {
     for topo in [Topology::Chain, Topology::Star, Topology::Clique] {
         let spec = Workload::new(8, topo, 100.0, 0.5).spec();
         for threads in [2usize, 3, 4] {
-            for schedule in [WaveSchedule::Chunked, WaveSchedule::RoundRobin] {
-                let opts = DriveOptions::parallel(threads).with_schedule(schedule);
-                drive::<AosTable, _>(&spec, &Kappa0, opts);
-                drive::<SoaTable, _>(&spec, &SortMerge, opts);
-                drive::<HotColdTable, _>(&spec, &Kappa0, opts);
-            }
+            let opts = DriveOptions::parallel(threads);
+            drive::<AosTable, _>(&spec, &Kappa0, opts);
+            drive::<SoaTable, _>(&spec, &SortMerge, opts);
+            drive::<HotColdTable, _>(&spec, &Kappa0, opts);
         }
     }
 }
 
 /// The conv driver's anchored walk reads the same strict-subset rows in
 /// a different pattern than the split walk; it must uphold the same
-/// wave discipline under both schedules. (Its seeded-violation twins
+/// wave discipline. (Its seeded-violation twins
 /// live in `crates/core/src/conv.rs`.)
 #[test]
 fn conv_driver_passes_shadow_checking() {
     for topo in [Topology::Chain, Topology::Star, Topology::Clique] {
         let spec = Workload::new(8, topo, 100.0, 0.5).spec();
         for threads in [2usize, 4] {
-            for schedule in [WaveSchedule::Chunked, WaveSchedule::RoundRobin] {
-                let opts = DriveOptions::parallel(threads)
-                    .with_schedule(schedule)
-                    .with_driver(DriverChoice::Conv);
-                drive::<AosTable, _>(&spec, &Kappa0, opts);
-                drive::<SoaTable, _>(&spec, &Kappa0, opts);
-                drive::<HotColdTable, _>(&spec, &Kappa0, opts);
-            }
+            let opts = DriveOptions::parallel(threads).with_driver(DriverChoice::Conv);
+            drive::<AosTable, _>(&spec, &Kappa0, opts);
+            drive::<SoaTable, _>(&spec, &Kappa0, opts);
+            drive::<HotColdTable, _>(&spec, &Kappa0, opts);
         }
     }
 }
